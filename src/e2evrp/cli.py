@@ -70,7 +70,10 @@ def solve(instance_path, time_limit, restarts, seed, runs, params_kv, json_out, 
         key, value = kv.split("=", 1)
         if key not in ("p1", "p2", "p3_hat", "p4_hat", "granularity", "i_max"):
             _fail(f"unknown parameter {key!r}", as_json)
-        overrides[key] = int(value)
+        try:
+            overrides[key] = int(value)
+        except ValueError:
+            _fail(f"bad --param {kv!r}, {key} must be an integer", as_json)
     if time_limit is None and restarts is None:
         time_limit = 150.0
     try:
@@ -151,7 +154,10 @@ def generate(which, out_dir, instances, stations, battery, seed, out, full_axis)
             count += 1
         click.echo(f"wrote {count} instances to {outp}")
         return
-    cap = None if battery.lower() == "inf" else int(battery)
+    try:
+        cap = None if battery.lower() == "inf" else int(battery)
+    except ValueError:
+        _fail(f"bad --battery {battery!r}, expected an integer or 'inf'", False)
     cfg = bench.MetroGenConfig(
         n_stations=stations, battery=cap, seed=seed, extent_is_semi_axis=not full_axis
     )
@@ -221,7 +227,10 @@ def check(instance_path, solution_path, as_json):
 @click.option("--out", type=click.Path(), required=True, help="CSV output path.")
 def sweep(mode, levels, instances, runs, budget, workers, battery, stations, out):
     """Paired battery-constrained / unconstrained sweep; writes a CSV."""
-    values = [int(v) for v in levels.split(",") if v.strip()]
+    try:
+        values = [int(v) for v in levels.split(",") if v.strip()]
+    except ValueError:
+        _fail(f"bad --levels {levels!r}, expected comma-separated integers", False)
     records = bench.sweep(
         values,
         mode,

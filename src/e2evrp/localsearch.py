@@ -1,31 +1,32 @@
 """Granular first-improvement local search on the second-level routes.
 
 Five neighborhoods (2-opt, 2-opt*, relocate, swap, swap2-1) are scanned in
-random order over granular customer pairs.  Each candidate move runs through
-a two-stage evaluation:
+random order over granular customer pairs.  Each route is mirrored as a unit
+list ``[(satellite, anchor stop), (c1, stop), ..., (satellite, None)]`` in
+which every charging stop stays glued to the customer (or satellite) it
+follows, with prefix sums of this frozen-station distance walked forward and
+backward and of the demand.
 
-1. an approximation that keeps every charging stop glued to the customer
-   (or satellite) it currently follows, so the move's effect on route
-   distance is a handful of leg lookups (inter-route moves are O(1);
-   same-route variants and reversals recompute the touched segment);
-2. if the move is load-feasible and the approximate distance of the touched
-   routes does not grow by more than the filter percentage, the touched
-   routes are re-priced exactly with the charging recursion (penalized
-   fallback included) and the move is applied only when the full objective,
-   fixed costs and first level included, strictly improves.
+A candidate move describes each route it touches as a concatenation of up to
+five segments ``(route, first unit, last unit, reversed)`` of the current
+routes.  One evaluator prices a concatenation in O(segments) from the prefix
+sums.  A load-feasible candidate then runs through a two-stage test:
+
+1. the frozen-station distance of the touched routes may not grow by more
+   than the filter percentage;
+2. only then are the routes spliced and re-priced exactly with the charging
+   recursion (penalized fallback included), and the move is applied only
+   when the full objective, fixed costs and first level included, strictly
+   improves.
 
 Tail exchanges (2-opt*) stay within one satellite; moves across satellites
 check satellite capacity and re-cost the first level from scratch.
-
-The candidate loops are the innermost hot path of the whole solver, hence
-the inlined distance lookups and the two-phase structure that avoids
-materializing a move unless it passes the load and distance gates.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from typing import Optional
 
 from .search import SolverContext, WorkingSolution, build_first_level
 
@@ -34,74 +35,58 @@ from .search import SolverContext, WorkingSolution, build_first_level
 FILTER_NUM = 103
 FILTER_DEN = 100
 
-# flipped by tests to cross-check every leg-delta against a splice recompute
-_DEBUG_CHECK_DELTAS = False
-
-Pair = tuple[int, Optional[int]]  # (customer id, trailing charging stop or None)
+Unit = tuple[int, Optional[int]]  # (customer or satellite id, trailing stop or None)
+Seg = tuple[int, int, int, bool]  # (route, first unit, last unit, reversed)
 
 _NEIGHBORHOODS = ("two_opt", "two_opt_star", "relocate", "swap", "swap21")
 
 
-def _aug_distance(
-    D: dict, satellite: int, anchor: Optional[int], pairs: Sequence[Pair]
-) -> int:
-    total = 0
-    prev, stop = satellite, anchor
-    for c, trailing in pairs:
-        row = D[prev]
-        total += row[c] if stop is None else row[stop] + D[stop][c]
-        prev, stop = c, trailing
-    row = D[prev]
-    total += row[satellite] if stop is None else row[stop] + D[stop][satellite]
-    return total
-
-
 class _LsState:
-    """Pair-list mirror of a working solution, rebuilt after each applied move."""
+    """Unit-list mirror of a working solution, rebuilt after each applied move.
 
-    __slots__ = ("sol", "pairs", "anchor", "aug", "loc", "pref", "dem", "nostop")
+    Per route ``ri``: ``units[ri]`` as in the module docstring; ``fwd[ri][k]``
+    is the frozen-station distance from unit 0 to unit k, ``bwd[ri][k]`` the
+    same sum walked backwards (unit k, its stop, then unit k-1, ...), and
+    ``pref[ri][k]`` the demand of units 1..k.  ``loc`` maps a customer to its
+    (route, unit index) and ``last[ri]`` is the index of the closing unit.
+    """
+
+    __slots__ = ("sol", "dist", "units", "fwd", "bwd", "pref", "last", "loc", "dem")
 
     def __init__(self, ctx: SolverContext, sol: WorkingSolution):
         self.sol = sol
         self.refresh(ctx)
 
     def refresh(self, ctx: SolverContext) -> None:
-        D = ctx.inst._dist
+        D = self.dist = ctx.inst._dist
         demand = ctx.inst.demand
-        self.pairs: list[list[Pair]] = []
-        self.anchor: list[Optional[int]] = []  # stop right after the satellite
-        self.aug: list[int] = []
-        self.pref: list[list[int]] = []  # per route, prefix demand sums
-        self.nostop: list[bool] = []  # route carries no customer-trailing stop
+        self.units: list[list[Unit]] = []
+        self.fwd: list[list[int]] = []
+        self.bwd: list[list[int]] = []
+        self.pref: list[list[int]] = []
+        self.last: list[int] = []
         self.loc: dict[int, tuple[int, int]] = {}
         self.dem: dict[int, int] = self.sol.sat_demand()
         for ri, route in enumerate(self.sol.routes):
+            sat = route.satellite
             by_leg = dict(route.plan.stations) if route.plan else {}
-            anchor = by_leg.get(1)
-            # a stop on leg l >= 2 trails the customer at position l-2
-            pairs = [(c, by_leg.get(idx + 2)) for idx, c in enumerate(route.customers)]
-            self.pairs.append(pairs)
-            self.anchor.append(anchor)
-            self.aug.append(_aug_distance(D, route.satellite, anchor, pairs))
-            self.nostop.append(len(by_leg) - (anchor is not None) == 0)
+            # the stop on leg l trails unit l-1 (unit 0 is the satellite)
+            units = [(sat, by_leg.get(1))]
             pref = [0]
-            acc = 0
-            for pos, (c, _) in enumerate(pairs):
-                self.loc[c] = (ri, pos)
-                acc += demand[c]
-                pref.append(acc)
+            for k, c in enumerate(route.customers, 1):
+                units.append((c, by_leg.get(k + 1)))
+                pref.append(pref[-1] + demand[c])
+                self.loc[c] = (ri, k)
+            units.append((sat, None))
+            fwd, bwd = [0], [0]
+            for (pv, ps), (v, s) in zip(units, units[1:]):
+                fwd.append(fwd[-1] + (D[pv][v] if ps is None else D[pv][ps] + D[ps][v]))
+                bwd.append(bwd[-1] + (D[v][pv] if s is None else D[v][s] + D[s][pv]))
+            self.units.append(units)
+            self.fwd.append(fwd)
+            self.bwd.append(bwd)
             self.pref.append(pref)
-
-    def unit(self, ri: int, p: int) -> Pair:
-        """Pair at position p; position -1 is the satellite with its anchor stop."""
-        if p < 0:
-            return (self.sol.routes[ri].satellite, self.anchor[ri])
-        return self.pairs[ri][p]
-
-    def head(self, ri: int, p: int) -> int:
-        """Vertex at position p, or the satellite one past the last customer."""
-        pairs = self.pairs[ri]
-        return pairs[p][0] if p < len(pairs) else self.sol.routes[ri].satellite
+            self.last.append(len(units) - 1)
 
 
 def local_search(
@@ -131,19 +116,50 @@ def local_search(
 
 
 # ---------------------------------------------------------------------------
-# neighborhoods; ``_gate`` rejects on load or the distance filter before any
-# move list is materialized
+# segment evaluation: every neighborhood hands ``_propose`` one segment list
+# per touched route
 # ---------------------------------------------------------------------------
 
 
-def _gate(st: _LsState, affected: tuple, loads: tuple, delta: int, q2: int) -> bool:
-    for load in loads:
-        if load > q2:
-            return False
-    old = 0
-    for ri in affected:
-        old += st.aug[ri]
-    return (old + delta) * FILTER_DEN <= FILTER_NUM * old
+def _cost(st: _LsState, segs: list[Seg]) -> int:
+    """Frozen-station distance of the concatenation of ``segs``."""
+    D, units, fwd, bwd = st.dist, st.units, st.fwd, st.bwd
+    total = 0
+    prev: Optional[Unit] = None
+    for ri, a, b, rev in segs:
+        if rev:
+            total += bwd[ri][b] - bwd[ri][a]
+            enter, leave = units[ri][b], units[ri][a]
+        else:
+            total += fwd[ri][b] - fwd[ri][a]
+            enter, leave = units[ri][a], units[ri][b]
+        if prev is not None:
+            v, s = prev
+            w = enter[0]
+            total += D[v][w] if s is None else D[v][s] + D[s][w]
+        prev = leave
+    return total
+
+
+def _propose(
+    ctx: SolverContext, st: _LsState, cands: list[tuple[int, list[Seg], int]]
+) -> bool:
+    """Distance filter over ``(route, segments, new load)`` candidates, then the
+    exact re-pricing of the spliced routes for moves that pass it."""
+    old = new = 0
+    for ri, segs, _load in cands:
+        old += st.fwd[ri][-1]
+        new += _cost(st, segs)
+    if new * FILTER_DEN > FILTER_NUM * old:
+        return False
+    moves = []
+    for ri, segs, load in cands:
+        seq: list[Unit] = []
+        for rs, a, b, rev in segs:
+            part = st.units[rs][a : b + 1]
+            seq += part[::-1] if rev else part
+        moves.append((ri, seq[1:-1], load))  # drop the two satellite units
+    return _commit(ctx, st, moves)
 
 
 def _try_two_opt(ctx: SolverContext, st: _LsState, i: int, j: int) -> bool:
@@ -156,37 +172,8 @@ def _try_two_opt(ctx: SolverContext, st: _LsState, i: int, j: int) -> bool:
     if pi > pj and i in ctx.granular_set[j]:
         return False
     lo, hi = (pi, pj) if pi < pj else (pj, pi)
-    if hi - lo < 1:
-        return False
-    D = ctx.inst._dist
-    p = st.pairs[ri]
-    sv, ss = st.unit(ri, lo - 1)
-    tail = st.head(ri, hi + 1)
-    vlo, vhi = p[lo][0], p[hi][0]
-    row = D[sv]
-    old = row[vlo] if ss is None else row[ss] + D[ss][vlo]
-    new = row[vhi] if ss is None else row[ss] + D[ss][vhi]
-    uv, us = p[hi]
-    row = D[uv]
-    old += row[tail] if us is None else row[us] + D[us][tail]
-    uv, us = p[lo]
-    row = D[uv]
-    new += row[tail] if us is None else row[us] + D[us][tail]
-    if not st.nostop[ri]:
-        # charging stops travel with their customers, so the reversed
-        # interior legs change cost; station-free routes skip this loop
-        for k in range(lo, hi):
-            av, as_ = p[k]
-            bv, bs = p[k + 1]
-            row = D[av]
-            old += row[bv] if as_ is None else row[as_] + D[as_][bv]
-            row = D[bv]
-            new += row[av] if bs is None else row[bs] + D[bs][av]
-    load = st.sol.routes[ri].load
-    if not _gate(st, (ri,), (), new - old, 0):
-        return False
-    cand = p[:lo] + p[lo : hi + 1][::-1] + p[hi + 1 :]
-    return _commit(ctx, st, [(ri, cand, load)], new - old)
+    segs = [(ri, 0, lo - 1, False), (ri, lo, hi, True), (ri, hi + 1, st.last[ri], False)]
+    return _propose(ctx, st, [(ri, segs, st.sol.routes[ri].load)])
 
 
 def _try_two_opt_star(ctx: SolverContext, st: _LsState, i: int, j: int) -> bool:
@@ -195,75 +182,36 @@ def _try_two_opt_star(ctx: SolverContext, st: _LsState, i: int, j: int) -> bool:
     routes = st.sol.routes
     if ri == rj or routes[ri].satellite != routes[rj].satellite:
         return False
-    D = ctx.inst._dist
-    a, b = st.pairs[ri], st.pairs[rj]
-    iv, is_ = a[pi]
-    jv, js = b[pj]
-    head_i = a[pi + 1][0] if pi + 1 < len(a) else routes[ri].satellite
-    head_j = b[pj + 1][0] if pj + 1 < len(b) else routes[rj].satellite
-    row = D[iv]
-    delta = (row[head_j] - row[head_i]) if is_ is None else (D[is_][head_j] - D[is_][head_i])
-    row = D[jv]
-    delta += (row[head_i] - row[head_j]) if js is None else (D[js][head_i] - D[js][head_j])
-    h1 = st.pref[ri][pi + 1]
-    h2 = st.pref[rj][pj + 1]
+    h1 = st.pref[ri][pi]
+    h2 = st.pref[rj][pj]
     l1 = h1 + routes[rj].load - h2
     l2 = h2 + routes[ri].load - h1
-    if not _gate(st, (ri, rj), (l1, l2), delta, ctx.inst.q2_capacity):
+    q2 = ctx.inst.q2_capacity
+    if l1 > q2 or l2 > q2:
         return False
-    moves = [
-        (ri, a[: pi + 1] + b[pj + 1 :], l1),
-        (rj, b[: pj + 1] + a[pi + 1 :], l2),
-    ]
-    return _commit(ctx, st, moves, delta)
-
-
-def _leg(D: dict, unit: Pair, head: int) -> int:
-    v, s = unit
-    row = D[v]
-    return row[head] if s is None else row[s] + D[s][head]
+    return _propose(ctx, st, [
+        (ri, [(ri, 0, pi, False), (rj, pj + 1, st.last[rj], False)], l1),
+        (rj, [(rj, 0, pj, False), (ri, pi + 1, st.last[ri], False)], l2),
+    ])
 
 
 def _try_relocate(ctx: SolverContext, st: _LsState, i: int, j: int) -> bool:
     ri, pi = st.loc[i]
     rj, pj = st.loc[j]
-    D = ctx.inst._dist
     routes = st.sol.routes
+    moved = (ri, pi, pi, False)
     if ri == rj:
-        p = st.pairs[ri]
         load = routes[ri].load
-        base = p[:pi] + p[pi + 1 :]
-        jpos = pj - 1 if pj > pi else pj
-        adjacent = abs(pj - pi) == 1
-        unit_i = p[pi]
-        if not adjacent:
-            prev_i = st.unit(ri, pi - 1)
-            after_i = st.head(ri, pi + 1)
-            rem = _leg(D, prev_i, after_i) - _leg(D, prev_i, i) - _leg(D, unit_i, after_i)
-        for offset in (0, 1):
-            if adjacent:
-                # neighboring slots share legs with the removal: splice and
-                # recompute the short route instead of case analysis
-                cand = base[: jpos + offset] + [unit_i] + base[jpos + offset :]
-                if cand == p:
-                    continue
-                delta = (
-                    _aug_distance(D, routes[ri].satellite, st.anchor[ri], cand)
-                    - st.aug[ri]
-                )
+        end = st.last[ri]
+        # insert i between unit g and unit g + 1, just before or after j
+        for g in (pj - 1, pj):
+            if g == pi - 1 or g == pi:
+                continue  # i already sits there
+            if g < pi:
+                segs = [(ri, 0, g, False), moved, (ri, g + 1, pi - 1, False), (ri, pi + 1, end, False)]
             else:
-                t = pj - 1 + offset
-                anchor = st.unit(ri, t)
-                hb = st.head(ri, t + 1)
-                delta = rem + _leg(D, anchor, i) + _leg(D, unit_i, hb) - _leg(D, anchor, hb)
-                cand = None
-            if not _gate(st, (ri,), (), delta, 0):
-                continue
-            if cand is None:
-                cand = base[: jpos + offset] + [unit_i] + base[jpos + offset :]
-                if cand == p:
-                    continue
-            if _commit(ctx, st, [(ri, cand, load)], delta):
+                segs = [(ri, 0, pi - 1, False), (ri, pi + 1, g, False), moved, (ri, g + 1, end, False)]
+            if _propose(ctx, st, [(ri, segs, load)]):
                 return True
         return False
     q = ctx.inst.demand[i]
@@ -271,23 +219,10 @@ def _try_relocate(ctx: SolverContext, st: _LsState, i: int, j: int) -> bool:
     l2 = routes[rj].load + q
     if l2 > ctx.inst.q2_capacity:
         return False
-    a, b = st.pairs[ri], st.pairs[rj]
-    unit_i = a[pi]
-    prev_i = st.unit(ri, pi - 1)
-    after_i = st.head(ri, pi + 1)
-    rem = _leg(D, prev_i, after_i) - _leg(D, prev_i, i) - _leg(D, unit_i, after_i)
-    for offset in (0, 1):
-        anchor = st.unit(rj, pj - 1 + offset)
-        hb = st.head(rj, pj + offset)
-        ins = _leg(D, anchor, i) + _leg(D, unit_i, hb) - _leg(D, anchor, hb)
-        delta = rem + ins
-        if not _gate(st, (ri, rj), (), delta, 0):
-            continue
-        moves = [
-            (ri, a[:pi] + a[pi + 1 :], l1),
-            (rj, b[: pj + offset] + [unit_i] + b[pj + offset :], l2),
-        ]
-        if _commit(ctx, st, moves, delta):
+    removed = [(ri, 0, pi - 1, False), (ri, pi + 1, st.last[ri], False)]
+    for g in (pj - 1, pj):
+        inserted = [(rj, 0, g, False), moved, (rj, g + 1, st.last[rj], False)]
+        if _propose(ctx, st, [(ri, removed, l1), (rj, inserted, l2)]):
             return True
     return False
 
@@ -305,97 +240,42 @@ def _try_swap21(ctx: SolverContext, st: _LsState, i: int, j: int) -> bool:
     return _exchange(ctx, st, j, i, 2, 1)
 
 
-def _seg_cost(D: dict, prev: Pair, seg: list[Pair], head: int) -> int:
-    total = 0
-    cur = prev
-    for pr in seg:
-        total += _leg(D, cur, pr[0])
-        cur = pr
-    return total + _leg(D, cur, head)
-
-
 def _exchange(
     ctx: SolverContext, st: _LsState, i: int, j: int, len1: int, len2: int
 ) -> bool:
-    """Exchange the ``len1`` pairs starting at i with the ``len2`` at j."""
+    """Exchange the ``len1`` customers starting at i with the ``len2`` at j."""
     r1, s1 = st.loc[i]
     r2, s2 = st.loc[j]
-    p1 = st.pairs[r1]
-    if s1 + len1 > len(p1):
+    e1 = st.last[r1]
+    if s1 + len1 > e1:
         return False
     routes = st.sol.routes
-    D = ctx.inst._dist
     if r1 == r2:
         a, la, b, lb = (s1, len1, s2, len2) if s1 < s2 else (s2, len2, s1, len1)
         if a + la > b:
             return False  # overlapping segments
-        load = routes[r1].load
-        p = p1
-        if a + la == b:
-            # adjacent segments share a junction leg: splice and recompute
-            cand = p[:a] + p[b : b + lb] + p[a : a + la] + p[b + lb :]
-            if cand == p:
-                return False
-            delta = (
-                _aug_distance(D, routes[r1].satellite, st.anchor[r1], cand)
-                - st.aug[r1]
-            )
-            if not _gate(st, (r1,), (), delta, 0):
-                return False
-            return _commit(ctx, st, [(r1, cand, load)], delta)
-        # detached segments swap in place: only four junction legs change
-        ua = st.unit(r1, a - 1)
-        ha = p[a + la][0]
-        ub = p[b - 1]
-        hb = st.head(r1, b + lb)
-        first_a, last_a = p[a], p[a + la - 1]
-        first_b, last_b = p[b], p[b + lb - 1]
-        delta = (
-            _leg(D, ua, first_b[0])
-            + _leg(D, last_b, ha)
-            + _leg(D, ub, first_a[0])
-            + _leg(D, last_a, hb)
-            - _leg(D, ua, first_a[0])
-            - _leg(D, last_a, ha)
-            - _leg(D, ub, first_b[0])
-            - _leg(D, last_b, hb)
-        )
-        if not _gate(st, (r1,), (), delta, 0):
-            return False
-        cand = p[:a] + p[b : b + lb] + p[a + la : b] + p[a : a + la] + p[b + lb :]
-        if cand == p:
-            return False
-        return _commit(ctx, st, [(r1, cand, load)], delta)
-    p2 = st.pairs[r2]
-    if s2 + len2 > len(p2):
+        segs = [(r1, 0, a - 1, False), (r1, b, b + lb - 1, False)]
+        if a + la < b:
+            segs.append((r1, a + la, b - 1, False))
+        segs += [(r1, a, a + la - 1, False), (r1, b + lb, e1, False)]
+        return _propose(ctx, st, [(r1, segs, routes[r1].load)])
+    e2 = st.last[r2]
+    if s2 + len2 > e2:
         return False
     pref1, pref2 = st.pref[r1], st.pref[r2]
-    d1 = pref1[s1 + len1] - pref1[s1]
-    d2 = pref2[s2 + len2] - pref2[s2]
+    d1 = pref1[s1 + len1 - 1] - pref1[s1 - 1]
+    d2 = pref2[s2 + len2 - 1] - pref2[s2 - 1]
     l1 = routes[r1].load - d1 + d2
     l2 = routes[r2].load - d2 + d1
     q2cap = ctx.inst.q2_capacity
     if l1 > q2cap or l2 > q2cap:
         return False
-    seg1 = p1[s1 : s1 + len1]
-    seg2 = p2[s2 : s2 + len2]
-    u1 = st.unit(r1, s1 - 1)
-    u2 = st.unit(r2, s2 - 1)
-    h1 = st.head(r1, s1 + len1)
-    h2 = st.head(r2, s2 + len2)
-    delta = (
-        _seg_cost(D, u1, seg2, h1)
-        + _seg_cost(D, u2, seg1, h2)
-        - _seg_cost(D, u1, seg1, h1)
-        - _seg_cost(D, u2, seg2, h2)
-    )
-    if not _gate(st, (r1, r2), (), delta, 0):
-        return False
-    moves = [
-        (r1, p1[:s1] + seg2 + p1[s1 + len1 :], l1),
-        (r2, p2[:s2] + seg1 + p2[s2 + len2 :], l2),
-    ]
-    return _commit(ctx, st, moves, delta)
+    seg1 = (r1, s1, s1 + len1 - 1, False)
+    seg2 = (r2, s2, s2 + len2 - 1, False)
+    return _propose(ctx, st, [
+        (r1, [(r1, 0, s1 - 1, False), seg2, (r1, s1 + len1, e1, False)], l1),
+        (r2, [(r2, 0, s2 - 1, False), seg1, (r2, s2 + len2, e2, False)], l2),
+    ])
 
 
 _HANDLERS = {
@@ -415,20 +295,10 @@ _HANDLERS = {
 def _commit(
     ctx: SolverContext,
     st: _LsState,
-    moves: list[tuple[int, list[Pair], int]],
-    delta_aug: int,
+    moves: list[tuple[int, list[Unit], int]],
 ) -> bool:
     inst = ctx.inst
     sol = st.sol
-
-    if _DEBUG_CHECK_DELTAS:
-        D = inst._dist
-        old = sum(st.aug[ri] for ri, _, _ in moves)
-        recomputed = sum(
-            _aug_distance(D, sol.routes[ri].satellite, st.anchor[ri], pairs)
-            for ri, pairs, _ in moves
-        )
-        assert recomputed - old == delta_aug, (delta_aug, recomputed - old)
 
     # satellite capacity for demand that moves across satellites
     delta_dem: dict[int, int] = {}

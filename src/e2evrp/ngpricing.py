@@ -207,16 +207,20 @@ def ng_lower_bound(
     of the single cheapest route plus the first-level trip that must reach its
     satellite.
     """
+    tables = {
+        k: price_ng_routes(inst, graph, k, ng, max_states=max_states)
+        for k in inst.satellite_ids
+    }
+    return _bound_from_tables(inst, tables)
+
+
+def _bound_from_tables(inst: Instance, tables: dict[int, NgRouteTable]) -> int:
+    """The two floors of :func:`ng_lower_bound` from its per-satellite tables."""
     if not inst.customers:
         return 0
     q_tot = inst.total_demand
     f1, f2 = inst.fixed_cost_l1, inst.fixed_cost_l2
     d0 = {k: inst.distance(DEPOT_ID, k) for k in inst.satellite_ids}
-    tables = {
-        k: price_ng_routes(inst, graph, k, ng, max_states=max_states)
-        for k in inst.satellite_ids
-    }
-
     first_floor = ceil(q_tot / inst.q1_capacity) * (f1 + 2 * min(d0.values()))
 
     unit_best: Optional[Fraction] = None
@@ -247,9 +251,12 @@ def bound_report(
     max_states: int = 2_000_000,
 ) -> dict:
     """JSON-friendly summary: per-satellite pricing digests plus the global bound."""
+    tables = {
+        k: price_ng_routes(inst, graph, k, ng, max_states=max_states)
+        for k in inst.satellite_ids
+    }
     per_sat = {}
-    for k in inst.satellite_ids:
-        tbl = price_ng_routes(inst, graph, k, ng, max_states=max_states)
+    for k, tbl in tables.items():
         loads = tbl.by_load
         per_sat[str(k)] = {
             "entries": len(tbl.by_load_last),
@@ -265,5 +272,5 @@ def bound_report(
         "instance": inst.name,
         "delta": ng.delta,
         "satellites": per_sat,
-        "lower_bound": ng_lower_bound(inst, graph, ng, max_states=max_states),
+        "lower_bound": _bound_from_tables(inst, tables),
     }

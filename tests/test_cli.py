@@ -148,3 +148,31 @@ def test_solve_missing_instance_errors():
     res = CliRunner().invoke(main, ["solve", "/no/such/file", "--json"])
     assert res.exit_code == 2
     assert "error" in json.loads(res.output)
+
+
+def test_solve_non_integer_param_is_a_clean_error(tmp_path):
+    inst = _write_tiny(tmp_path)
+    res = CliRunner().invoke(main, ["solve", inst, "--param", "i_max=abc", "--json"])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "i_max" in json.loads(res.output)["error"]
+    plain = CliRunner().invoke(main, ["solve", inst, "--param", "i_max=abc"])
+    assert plain.exit_code == 2 and "Traceback" not in plain.output
+    assert "i_max" in plain.output
+
+
+def test_sweep_non_integer_level_is_a_clean_error(tmp_path):
+    res = CliRunner().invoke(
+        main, ["sweep", "--mode", "battery", "--levels", "2,x", "--out", str(tmp_path / "s.csv")]
+    )
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "--levels" in res.output
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_generate_non_integer_battery_is_a_clean_error():
+    res = CliRunner().invoke(main, ["generate", "--battery", "lots"])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "--battery" in res.output

@@ -1,5 +1,6 @@
 import random
 
+from e2evrp import localsearch as ls
 from e2evrp.lns import repair
 from e2evrp.localsearch import local_search
 from e2evrp.model import check_feasibility
@@ -155,3 +156,82 @@ def test_paired_comparison_exact_filter_never_worse():
         local_search(ctx, sol, rng)
         worse += sol.objective(inst) > before
     assert worse == 0
+
+
+def _frozen_distance(inst, satellite, anchor, pairs):
+    """From-scratch length of a route whose charging stops keep their places:
+    ``anchor`` right after the satellite, each other stop after its customer."""
+    visits = [satellite] + ([anchor] if anchor is not None else [])
+    for c, stop in pairs:
+        visits += [c] if stop is None else [c, stop]
+    visits.append(satellite)
+    return sum(inst.distance(a, b) for a, b in zip(visits, visits[1:]))
+
+
+def test_segment_evaluator_matches_spliced_routes(monkeypatch):
+    """For every candidate of every neighborhood, the distance the filter
+    computes from segments equals the from-scratch distance of the route it
+    splices.  The filter is opened and ``_commit`` stubbed to record and
+    reject, so one pass sees every granular pair in all five neighborhoods."""
+    monkeypatch.setattr(ls, "FILTER_NUM", 10**9)
+    costs, current = [], [None]
+    seen = dict.fromkeys(ls._NEIGHBORHOODS, 0)
+    covered = {"anchored": 0, "emptied": 0, "reversed_stops": 0}
+    real_cost = ls._cost
+
+    def cost(st, segs):
+        value = real_cost(st, segs)
+        costs.append(value)
+        return value
+
+    def commit(ctx, st, moves):
+        inst = ctx.inst
+        values = costs[:]
+        costs.clear()
+        assert len(values) == len(moves)
+        seen[current[0]] += 1
+        before = sorted(c for ri, _, _ in moves for c in st.sol.routes[ri].customers)
+        assert sorted(c for _, pairs, _ in moves for c, _ in pairs) == before
+        for (ri, pairs, load), value in zip(moves, values):
+            route = st.sol.routes[ri]
+            anchor = anchors[id(route)]
+            current_pairs = [(c, trailing[c]) for c in route.customers]
+            assert st.fwd[ri][-1] == _frozen_distance(inst, route.satellite, anchor, current_pairs)
+            assert value == _frozen_distance(inst, route.satellite, anchor, pairs)
+            assert all(stop == trailing[c] for c, stop in pairs)  # stops stay glued
+            assert load == sum(inst.demand[c] for c, _ in pairs)
+            covered["anchored"] += anchor is not None
+            covered["emptied"] += not pairs
+            if current[0] == "two_opt" and any(s is not None for _, s in pairs):
+                covered["reversed_stops"] += 1
+        return False
+
+    monkeypatch.setattr(ls, "_cost", cost)
+    monkeypatch.setattr(ls, "_commit", commit)
+    for nb, handler in list(ls._HANDLERS.items()):
+        def labelled(ctx, st, i, j, nb=nb, handler=handler):
+            current[0] = nb
+            return handler(ctx, st, i, j)
+
+        monkeypatch.setitem(ls._HANDLERS, nb, labelled)
+
+    rng = random.Random(7)
+    for _ in range(12):
+        inst = random_instance(
+            rng, n_c=rng.randint(8, 14), n_s=2, n_r=3, span=300,
+            battery=rng.choice([350, 450]), q2=60, m2_local=10, m2=20,
+        )
+        ctx = _ctx(inst)
+        sol = repair(ctx, WorkingSolution(), list(inst.customer_ids), set(), rng)
+        assert sol is not None
+        sol = _complete(ctx, sol)
+        anchors, trailing = {}, {}
+        for r in sol.routes:
+            by_leg = dict(r.plan.stations)
+            anchors[id(r)] = by_leg.get(1)
+            trailing.update((c, by_leg.get(k + 2)) for k, c in enumerate(r.customers))
+        before = sol.objective(inst)
+        local_search(ctx, sol, rng)
+        assert sol.objective(inst) == before  # every move was rejected
+    assert all(seen.values()), seen
+    assert all(covered.values()), covered

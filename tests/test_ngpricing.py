@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from e2evrp import ngpricing
 from e2evrp.multigraph import MultiArc, build_multigraph, reduce_by_dominance
 from e2evrp.ngpricing import (
     NgRouteTable,
@@ -163,3 +164,19 @@ def test_bound_report_shape():
     assert set(rep) == {"instance", "delta", "satellites", "lower_bound"}
     assert len(rep["satellites"]) == 2
     assert isinstance(rep["lower_bound"], int)
+
+
+def test_bound_report_prices_each_satellite_once(monkeypatch):
+    rng = random.Random(17)
+    inst = random_instance(rng, n_c=6, n_s=3, n_r=2, span=80, battery=250)
+    graph, ng = _graph(inst), NgSets.build(inst, delta=3)
+    priced = []
+
+    def counting(inst_, graph_, satellite, ng_, **kw):
+        priced.append(satellite)
+        return price_ng_routes(inst_, graph_, satellite, ng_, **kw)
+
+    monkeypatch.setattr(ngpricing, "price_ng_routes", counting)
+    rep = bound_report(inst, graph, ng)
+    assert sorted(priced) == sorted(inst.satellite_ids)
+    assert rep["lower_bound"] == ng_lower_bound(inst, graph, ng)
