@@ -51,7 +51,6 @@ from .ngpricing import (
     NgStateSpaceExceeded,
     bound_report,
     ng_lower_bound,
-    omega,
     price_ng_routes,
 )
 from .search import SolverContext, build_first_level, build_neighbor_lists

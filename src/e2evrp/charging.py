@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .model import Instance
-from .multigraph import MultiArc, Multigraph
+from .multigraph import Multigraph
 
 _INF = float("inf")
 
@@ -65,25 +65,27 @@ def _propagate(
 ) -> Optional[InsertionResult]:
     limit = inst.battery_limit
     seq = (satellite, *customers, satellite)
-    # label: (w, dist, excess, parent index, arc); layers kept mutually
-    # nondominated componentwise in (w, dist, excess) -- the objective is
-    # monotone in each, so a dominated label can never complete better.
+    # label: (w, dist, excess, parent index, station or None); layers kept
+    # mutually nondominated componentwise in (w, dist, excess) -- the objective
+    # is monotone in each, so a dominated label can never complete better.
     # Exact ties keep the first-inserted label (arc order is deterministic).
     layers: list[list[tuple]] = [[(0, 0, 0, -1, None)]]
     for leg in range(1, len(seq)):
         i, j = seq[leg - 1], seq[leg]
-        arcs: Sequence[MultiArc] = graph.arcs(i, j)
-        if not arcs:
+        # (cost, consumption, station, station leg) of each arc, as plain
+        # tuples: they unpack faster than MultiArc in the label loop
+        options = [arc[2:] for arc in graph.arcs(i, j)]
+        if not options:
             if not penalized:
                 return None
             # no admissible arc at all: ride the raw direct leg and pay for it
-            arcs = (MultiArc(i, j, inst.distance(i, j), inst.consumption(i, j), None),)
+            options = [(inst.distance(i, j), inst.consumption(i, j), None, 0)]
         prev = layers[-1]
         nxt: list[tuple] = []
         for li, (w, dist, exc, _, _) in enumerate(prev):
-            for arc in arcs:
-                if arc.station is None:
-                    w2 = w + arc.consumption
+            for cost, cons, station, station_leg in options:
+                if station is None:
+                    w2 = w + cons
                     exc2 = exc
                     if limit is not None and w2 > limit:
                         if not penalized:
@@ -91,14 +93,14 @@ def _propagate(
                         exc2 = exc + (w2 - limit)
                         w2 = limit
                 else:
-                    entry = w + arc.station_leg
+                    entry = w + station_leg
                     exc2 = exc
                     if limit is not None and entry > limit:
                         if not penalized:
                             continue
                         exc2 = exc + (entry - limit)
-                    w2 = arc.consumption
-                d2 = dist + arc.cost
+                    w2 = cons
+                d2 = dist + cost
                 dominated = False
                 for l in nxt:
                     if l[0] <= w2 and l[1] <= d2 and l[2] <= exc2:
@@ -109,7 +111,7 @@ def _propagate(
                 nxt[:] = [
                     l for l in nxt if not (w2 <= l[0] and d2 <= l[1] and exc2 <= l[2])
                 ]
-                nxt.append((w2, d2, exc2, li, arc))
+                nxt.append((w2, d2, exc2, li, station))
         if not nxt:
             return None
         layers.append(nxt)
@@ -119,9 +121,8 @@ def _propagate(
     stations: list[tuple[int, int]] = []
     label = best
     for leg in range(len(seq) - 1, 0, -1):
-        arc = label[4]
-        if arc.station is not None:
-            stations.append((leg, arc.station))
+        if label[4] is not None:
+            stations.append((leg, label[4]))
         label = layers[leg - 1][label[3]]
     stations.reverse()
     excess = best[2]

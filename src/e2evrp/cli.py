@@ -54,7 +54,7 @@ def main() -> None:
 @click.option("--time-limit", "-t", type=float, default=None, help="Wall-clock budget per run in seconds [default: 150 unless --restarts is given].")
 @click.option("--restarts", type=int, default=None, help="Deterministic restart budget; combinable with a time limit.")
 @click.option("--seed", type=int, default=1, show_default=True)
-@click.option("--runs", type=int, default=1, show_default=True, help="Independent runs with seeds seed..seed+runs-1.")
+@click.option("--runs", type=click.IntRange(min=1), default=1, show_default=True, help="Independent runs with seeds seed..seed+runs-1.")
 @click.option("--param", "params_kv", multiple=True, metavar="KEY=VALUE", help="Override a search parameter (p1, p2, p3_hat, p4_hat, granularity, i_max).")
 @click.option("--json-out", type=click.Path(), default=None, help="Write run records and the aggregate as JSON.")
 @click.option("--csv-out", type=click.Path(), default=None, help="Append the aggregate row as CSV.")
@@ -231,6 +231,8 @@ def sweep(mode, levels, instances, runs, budget, workers, battery, stations, out
         values = [int(v) for v in levels.split(",") if v.strip()]
     except ValueError:
         _fail(f"bad --levels {levels!r}, expected comma-separated integers", False)
+    if not values:
+        _fail(f"bad --levels {levels!r}, expected at least one integer", False)
     records = bench.sweep(
         values,
         mode,
@@ -259,7 +261,7 @@ def sweep(mode, levels, instances, runs, budget, workers, battery, stations, out
 
 @main.command()
 @click.argument("instance_path", metavar="INSTANCE")
-@click.option("--delta", type=int, default=8, show_default=True, help="Neighborhood memory size.")
+@click.option("--delta", type=click.IntRange(min=1), default=8, show_default=True, help="Neighborhood memory size.")
 @click.option("--max-states", type=int, default=2_000_000, show_default=True)
 @click.option("--json-out", type=click.Path(), default=None)
 @click.option("--json", "as_json", is_flag=True)

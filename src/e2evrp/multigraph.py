@@ -6,22 +6,39 @@ charging location k reachable within battery range on both half-legs.  A
 via-station arc costs the full detour ``d(i,k) + d(k,j)`` but its arrival
 consumption is only ``c(k,j)`` because the battery is fully restored at k.
 
+Arcs are plain named tuples.  Every bundle is sorted by
+:meth:`MultiArc.sort_key` -- cost, then arrival consumption, then station id
+with the direct arc as -1 -- and holds at most one arc per station, so that
+order is total.  The build computes once, per satellite and customer, its
+*reach map*: the charging locations within battery range of it, with their
+distances.  Distances are symmetric, so the via arcs of pair (i, j) are the
+entries k of i's reach map that also lie in j's, and no pair × station
+distance is queried.
+
 Arc bundles are then thinned by a dominance rule that is sensitive to the
 tail type: leaving a satellite the battery is always full, so only (cost,
 arrival consumption) matter; leaving a customer the approach leg to the
 station also matters, and direct arcs are never compared against via arcs.
+Of arcs tied on every compared field the one with the smallest sort key
+survives.  The reduction is a sort-and-sweep over each bundle:
+
+* satellite tail: in sort-key order, keep an arc iff its consumption is
+  strictly below that of the last arc kept;
+* customer tail: keep every direct arc; take the via arcs in
+  (cost, consumption, station leg, station) order and keep one iff no arc
+  kept before it has both consumption and station leg at most its own.
+
+Survivors are emitted in their original bundle order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .model import DEPOT_ID, Instance, SecondLevelRoute
+from .model import Instance, SecondLevelRoute
 
 
-@dataclass(frozen=True)
-class MultiArc:
+class MultiArc(NamedTuple):
     tail: int
     head: int
     cost: int
@@ -50,15 +67,6 @@ class Multigraph:
     def arc_count(self) -> int:
         return sum(len(b) for b in self._bundles.values())
 
-    def to_csv(self) -> str:
-        """Debug dump: one `tail,head,p,cost,consumption,station` row per arc."""
-        rows = ["tail,head,p,cost,consumption,station"]
-        for (i, j) in sorted(self._bundles):
-            for p, arc in enumerate(self._bundles[i, j], 1):
-                st = "" if arc.station is None else arc.station
-                rows.append(f"{i},{j},{p},{arc.cost},{arc.consumption},{st}")
-        return "\n".join(rows) + "\n"
-
 
 def build_multigraph(inst: Instance) -> Multigraph:
     """Construct all admissible arcs, pre-filtered by battery range.
@@ -70,7 +78,8 @@ def build_multigraph(inst: Instance) -> Multigraph:
     limit = inst.battery_limit
     sats = inst.satellite_ids
     custs = inst.customer_ids
-    charge = inst.charging_ids
+    scale = inst.consumption_scale[0]
+    dist = inst.distance
 
     pairs: list[tuple[int, int]] = []
     for s in sats:
@@ -82,51 +91,69 @@ def build_multigraph(inst: Instance) -> Multigraph:
             if a != b:
                 pairs.append((a, b))
 
-    cons = inst.consumption
-    dist = inst.distance
+    # reach[v]: {k: (d(v,k), c(v,k))} over the charging locations k != v within
+    # range; charging at an endpoint adds nothing over the direct arc
+    reach: dict[int, dict[int, tuple[int, int]]] = {}
+    for v in (*sats, *custs):
+        near: dict[int, tuple[int, int]] = {}
+        if limit is not None:
+            for k in inst.charging_ids:
+                d = dist(v, k)
+                if k != v and scale * d <= limit:
+                    near[k] = (d, scale * d)
+        reach[v] = near
+
     bundles: dict[tuple[int, int], tuple[MultiArc, ...]] = {}
     for i, j in pairs:
-        bundle = []
-        c_ij = cons(i, j)
-        if limit is None or c_ij <= limit:
-            bundle.append(MultiArc(i, j, dist(i, j), c_ij, None))
-        if limit is not None:
-            for k in charge:
-                if k == i or k == j:
-                    continue  # charging at an endpoint adds nothing over the direct arc
-                c_ik = cons(i, k)
-                c_kj = cons(k, j)
-                if c_ik <= limit and c_kj <= limit:
-                    bundle.append(
-                        MultiArc(i, j, dist(i, k) + dist(k, j), c_kj, k, station_leg=c_ik)
-                    )
-        if bundle:
-            bundle.sort(key=MultiArc.sort_key)
-            bundles[i, j] = tuple(bundle)
+        d_ij = dist(i, j)
+        c_ij = scale * d_ij
+        # (cost, consumption, station or -1, station leg) sorts as sort_key
+        rows = [(d_ij, c_ij, -1, 0)] if limit is None or c_ij <= limit else []
+        near_j = reach[j]
+        for k, (d_ik, c_ik) in reach[i].items():
+            kj = near_j.get(k)
+            if kj is not None:
+                rows.append((d_ik + kj[0], kj[1], k, c_ik))
+        if rows:
+            rows.sort()
+            bundles[i, j] = tuple(
+                MultiArc(i, j, cost, cons, None if k < 0 else k, leg)
+                for cost, cons, k, leg in rows
+            )
     return Multigraph(inst, bundles)
 
 
-def _removable(r1: MultiArc, r2: MultiArc, tail_is_satellite: bool) -> bool:
-    """Whether r2 justifies dropping r1 from the same bundle."""
-    if tail_is_satellite:
-        if r2.cost > r1.cost or r2.consumption > r1.consumption:
-            return False
-    else:
-        # customer tail: the rule only relates two via-station arcs
-        if r1.station is None or r2.station is None:
-            return False
-        if (
-            r2.cost > r1.cost
-            or r2.consumption > r1.consumption
-            or r2.station_leg > r1.station_leg
-        ):
-            return False
-    if (r2.cost, r2.consumption) != (r1.cost, r1.consumption) or (
-        not tail_is_satellite and r2.station_leg != r1.station_leg
-    ):
-        return True
-    # full tie: keep exactly one arc, the lexicographically smallest
-    return r2.sort_key() < r1.sort_key()
+def _sweep_satellite_tail(bundle: Sequence[MultiArc]) -> list[int]:
+    """Positions of the survivors in a bundle leaving a satellite."""
+    keep = []
+    last = None
+    for p in sorted(range(len(bundle)), key=lambda p: bundle[p].sort_key()):
+        cons = bundle[p].consumption
+        if last is None or cons < last:
+            keep.append(p)
+            last = cons
+    return keep
+
+
+def _sweep_customer_tail(bundle: Sequence[MultiArc]) -> list[int]:
+    """Positions of the survivors in a bundle leaving a customer."""
+    keep = []
+    via = []
+    for p, (_, _, cost, cons, station, leg) in enumerate(bundle):
+        if station is None:
+            keep.append(p)
+        else:
+            via.append((cost, cons, leg, station, p))
+    via.sort()
+    front: list[tuple[int, int]] = []  # (consumption, station leg) of kept via arcs
+    for _, cons, leg, _, p in via:
+        for f_cons, f_leg in front:
+            if f_cons <= cons and f_leg <= leg:
+                break
+        else:
+            keep.append(p)
+            front.append((cons, leg))
+    return keep
 
 
 def reduce_by_dominance(graph: Multigraph) -> Multigraph:
@@ -139,13 +166,9 @@ def reduce_by_dominance(graph: Multigraph) -> Multigraph:
         if len(bundle) == 1:
             reduced[i, j] = bundle
             continue
-        is_sat = i in sat_set
-        keep = [
-            r1
-            for r1 in bundle
-            if not any(r2 is not r1 and _removable(r1, r2, is_sat) for r2 in bundle)
-        ]
-        reduced[i, j] = tuple(keep)
+        keep = (_sweep_satellite_tail if i in sat_set else _sweep_customer_tail)(bundle)
+        keep.sort()
+        reduced[i, j] = tuple([bundle[p] for p in keep])
     return Multigraph(inst, reduced)
 
 

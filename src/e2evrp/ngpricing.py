@@ -22,7 +22,7 @@ from math import ceil, inf
 from typing import Optional
 
 from .model import DEPOT_ID, Instance
-from .multigraph import MultiArc, Multigraph
+from .multigraph import Multigraph
 
 
 class NgStateSpaceExceeded(RuntimeError):
@@ -46,24 +46,6 @@ class NgSets:
             ranked = sorted((inst.distance(i, j), j) for j in ids if j != i)
             nb[i] = frozenset([i, *(j for _, j in ranked[: delta - 1])])
         return cls(delta, nb)
-
-
-def omega(w: int, arc: MultiArc, battery_limit: int) -> frozenset[int]:
-    """Admissible predecessor consumptions for arriving along ``arc`` with ``w``.
-
-    Direct arc: the single value ``w - c`` when the leg fits; via station k:
-    any charge state that still reaches k, provided ``w`` equals the fixed
-    station-to-head consumption; empty otherwise.
-    """
-    if arc.station is None:
-        if arc.consumption <= w:
-            return frozenset({w - arc.consumption})
-        return frozenset()
-    if w == arc.consumption:
-        hi = battery_limit - arc.station_leg
-        if hi >= 0:
-            return frozenset(range(hi + 1))
-    return frozenset()
 
 
 @dataclass(frozen=True)
@@ -104,6 +86,10 @@ def price_ng_routes(
     demand = inst.demand
     q2 = inst.q2_capacity
     limit = inst.battery_limit
+
+    # per ordered pair, (cost, consumption, station, station leg) of each arc,
+    # as plain tuples: they unpack faster than MultiArc in the loops below
+    options = {(i, j): [arc[2:] for arc in graph.arcs(i, j)] for i, j in graph.pairs()}
 
     # labels[(vertex, load, memory mask)] -> nondominated [(w, cost)]
     labels: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
@@ -155,37 +141,37 @@ def price_ng_routes(
                 qn = q + demand[j]
                 if qn > q2:
                     continue
-                arcs = graph.arcs(i, j)
-                if not arcs:
+                opts = options.get((i, j))
+                if not opts:
                     continue
                 nkey = (j, qn, (mask & nmask[j]) | bit[j])
-                for arc in arcs:
-                    if arc.station is None:
+                for arc_cost, arc_cons, station, station_leg in opts:
+                    if station is None:
                         for w, cost in labs:
-                            w2 = w + arc.consumption
+                            w2 = w + arc_cons
                             if limit is not None and w2 > limit:
                                 continue
-                            push(nkey, w2, cost + arc.cost)
+                            push(nkey, w2, cost + arc_cost)
                     else:
                         best = None
                         for w, cost in labs:
-                            if w + arc.station_leg <= limit and (
+                            if w + station_leg <= limit and (
                                 best is None or cost < best
                             ):
                                 best = cost
                         if best is not None:
-                            push(nkey, arc.consumption, best + arc.cost)
+                            push(nkey, arc_cons, best + arc_cost)
 
     table: dict[tuple[int, int], int] = {}
     for (i, q, _mask), labs in labels.items():
         entry = table.get((q, i), None)
-        for arc in graph.arcs(i, satellite):
+        for arc_cost, arc_cons, station, station_leg in options.get((i, satellite), ()):
             for w, cost in labs:
                 if limit is not None:
-                    need = w + (arc.consumption if arc.station is None else arc.station_leg)
+                    need = w + (arc_cons if station is None else station_leg)
                     if need > limit:
                         continue
-                total = cost + arc.cost
+                total = cost + arc_cost
                 if entry is None or total < entry:
                     entry = total
         if entry is not None:

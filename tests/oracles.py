@@ -12,6 +12,7 @@ import random
 from typing import Optional, Sequence
 
 from e2evrp.model import Customer, Instance, Satellite, Station
+from e2evrp.multigraph import MultiArc, Multigraph
 
 
 def make_instance(
@@ -260,3 +261,68 @@ def elementary_route_optima(
 
     extend([], 0)
     return best
+
+
+# ---------------------------------------------------------------------------
+# Multigraph references
+# ---------------------------------------------------------------------------
+
+
+def removable(r1: MultiArc, r2: MultiArc, tail_is_satellite: bool) -> bool:
+    """The paper's dominance rule, pairwise: whether r2 justifies dropping r1."""
+    if tail_is_satellite:
+        if r2.cost > r1.cost or r2.consumption > r1.consumption:
+            return False
+    else:
+        # customer tail: the rule only relates two via-station arcs
+        if r1.station is None or r2.station is None:
+            return False
+        if (
+            r2.cost > r1.cost
+            or r2.consumption > r1.consumption
+            or r2.station_leg > r1.station_leg
+        ):
+            return False
+    if (r2.cost, r2.consumption) != (r1.cost, r1.consumption) or (
+        not tail_is_satellite and r2.station_leg != r1.station_leg
+    ):
+        return True
+    # full tie: keep exactly one arc, the lexicographically smallest
+    return r2.sort_key() < r1.sort_key()
+
+
+def reduce_bundle(bundle: Sequence[MultiArc], tail_is_satellite: bool) -> tuple[MultiArc, ...]:
+    """O(b²) reference reduction: keep each arc no other arc of the bundle removes."""
+    return tuple(
+        r1
+        for r1 in bundle
+        if not any(r2 is not r1 and removable(r1, r2, tail_is_satellite) for r2 in bundle)
+    )
+
+
+def multigraph_csv(graph: Multigraph) -> str:
+    """Debug dump: one `tail,head,p,cost,consumption,station` row per arc."""
+    rows = ["tail,head,p,cost,consumption,station"]
+    for (i, j) in sorted(graph.pairs()):
+        for p, arc in enumerate(graph.arcs(i, j), 1):
+            st = "" if arc.station is None else arc.station
+            rows.append(f"{i},{j},{p},{arc.cost},{arc.consumption},{st}")
+    return "\n".join(rows) + "\n"
+
+
+def omega(w: int, arc: MultiArc, battery_limit: int) -> frozenset[int]:
+    """Admissible predecessor consumptions for arriving along ``arc`` with ``w``.
+
+    Direct arc: the single value ``w - c`` when the leg fits; via station k:
+    any charge state that still reaches k, provided ``w`` equals the fixed
+    station-to-head consumption; empty otherwise.
+    """
+    if arc.station is None:
+        if arc.consumption <= w:
+            return frozenset({w - arc.consumption})
+        return frozenset()
+    if w == arc.consumption:
+        hi = battery_limit - arc.station_leg
+        if hi >= 0:
+            return frozenset(range(hi + 1))
+    return frozenset()

@@ -176,3 +176,29 @@ def test_generate_non_integer_battery_is_a_clean_error():
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
     assert "--battery" in res.output
+
+
+def test_solve_zero_runs_is_a_clean_error(tmp_path):
+    inst = _write_tiny(tmp_path)
+    res = CliRunner().invoke(main, ["solve", inst, "--runs", "0"])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "--runs" in res.output
+
+
+def test_bound_zero_delta_is_a_clean_error(tmp_path):
+    inst = _write_tiny(tmp_path)
+    res = CliRunner().invoke(main, ["bound", inst, "--delta", "0"])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "--delta" in res.output
+
+
+def test_sweep_empty_levels_is_a_clean_error(tmp_path):
+    res = CliRunner().invoke(
+        main, ["sweep", "--mode", "battery", "--levels", ",", "--out", str(tmp_path / "s.csv")]
+    )
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "--levels" in res.output
+    assert not (tmp_path / "s.csv").exists()

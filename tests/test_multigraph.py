@@ -1,18 +1,22 @@
+import hashlib
 import random
+from dataclasses import replace
+from math import ceil
 
 import pytest
 
+from e2evrp.bench import MetroGenConfig, generate_metro_instance
 from e2evrp.model import SecondLevelRoute, evaluate_cost, Solution, FirstLevelRoute, CostBreakdown
+from e2evrp.model import parse_instance, write_instance
 from e2evrp.multigraph import (
     MultiArc,
     Multigraph,
-    _removable,
     build_multigraph,
     expand_arc_route,
     reduce_by_dominance,
 )
 
-from oracles import make_instance, random_instance
+from oracles import make_instance, multigraph_csv, random_instance, reduce_bundle, removable
 
 
 def _corner_instance(battery):
@@ -125,21 +129,21 @@ def test_customer_tail_rule_needs_all_three_comparisons():
     # synthetic arcs: equal (cost, consumption), different approach legs
     r1 = MultiArc(9, 2, cost=100, consumption=40, station=5, station_leg=60)
     r2 = MultiArc(9, 2, cost=100, consumption=40, station=6, station_leg=30)
-    assert _removable(r1, r2, tail_is_satellite=False)  # all three hold for r2
-    assert not _removable(r2, r1, tail_is_satellite=False)
+    assert removable(r1, r2, tail_is_satellite=False)  # all three hold for r2
+    assert not removable(r2, r1, tail_is_satellite=False)
     r3 = MultiArc(9, 2, cost=100, consumption=50, station=7, station_leg=20)
     # r3 has higher consumption but lower approach: incomparable both ways
-    assert not _removable(r3, r2, tail_is_satellite=False)
-    assert not _removable(r2, r3, tail_is_satellite=False)
+    assert not removable(r3, r2, tail_is_satellite=False)
+    assert not removable(r2, r3, tail_is_satellite=False)
 
 
 def test_customer_tail_rule_never_touches_direct_arcs():
     direct = MultiArc(9, 2, cost=100, consumption=100, station=None)
     via = MultiArc(9, 2, cost=100, consumption=10, station=5, station_leg=10)
-    assert not _removable(direct, via, tail_is_satellite=False)
-    assert not _removable(via, direct, tail_is_satellite=False)
+    assert not removable(direct, via, tail_is_satellite=False)
+    assert not removable(via, direct, tail_is_satellite=False)
     # at a satellite tail the comparison is allowed
-    assert _removable(direct, via, tail_is_satellite=True)
+    assert removable(direct, via, tail_is_satellite=True)
 
 
 def test_full_tie_keeps_exactly_one():
@@ -263,6 +267,95 @@ def test_expand_rejects_broken_chain():
 def test_csv_dump_format():
     inst = _corner_instance(200)
     g = build_multigraph(inst)
-    lines = g.to_csv().strip().splitlines()
+    lines = multigraph_csv(g).strip().splitlines()
     assert lines[0] == "tail,head,p,cost,consumption,station"
     assert any(line.startswith("1,2,1,") for line in lines[1:])
+
+
+# ---------------------------------------------------------------------------
+# sweep against the pairwise reference, and golden bundles
+# ---------------------------------------------------------------------------
+
+
+def _synthetic_bundle(rng, tail, head):
+    """Random bundle with at most one arc per station, as built graphs have.
+
+    Small value ranges force full ties and equal (cost, consumption) with
+    different approach legs; costs are drawn apart from leg + consumption.
+    """
+    stations = rng.sample(range(1, 40), rng.randint(1, 10))
+    if rng.random() < 0.6:
+        stations.append(None)
+    arcs = []
+    for st in stations:
+        cost, cons = rng.randint(0, 5), rng.randint(0, 5)
+        if st is None:
+            arcs.append(MultiArc(tail, head, cost, cons, None))
+        else:
+            arcs.append(MultiArc(tail, head, cost, cons, st, station_leg=rng.randint(0, 5)))
+    if rng.random() < 0.5:
+        arcs.sort(key=MultiArc.sort_key)
+    else:
+        rng.shuffle(arcs)
+    return tuple(arcs)
+
+
+def test_sweep_matches_pairwise_reference():
+    inst = _corner_instance(500)
+    rng = random.Random(23)
+    seen = {"full_tie": 0, "leg_only_differs": 0, "customer_direct": 0}
+    # a full tie: equal on every field the rule compares at that tail kind
+    for n in range(3000):
+        tail_is_satellite = n % 2 == 0
+        tail, head = (1, 2) if tail_is_satellite else (2, 1)
+        bundle = _synthetic_bundle(rng, tail, head)
+        got = reduce_by_dominance(Multigraph(inst, {(tail, head): bundle})).arcs(tail, head)
+        assert got == reduce_bundle(bundle, tail_is_satellite), (tail_is_satellite, bundle)
+        via = [a for a in bundle if a.station is not None]
+        if tail_is_satellite:
+            fields = [(a.cost, a.consumption) for a in bundle]
+        else:
+            fields = [(a.cost, a.consumption, a.station_leg) for a in via]
+        seen["full_tie"] += len(set(fields)) < len(fields)
+        seen["leg_only_differs"] += any(
+            (a.cost, a.consumption) == (b.cost, b.consumption) and a.station_leg != b.station_leg
+            for a in via
+            for b in via
+        )
+        seen["customer_direct"] += not tail_is_satellite and len(via) < len(bundle)
+    assert min(seen.values()) >= 100, seen
+
+
+def _metro_instance(customers, stations):
+    """A perfbench metro workload instance: battery 1000, instance seed 1."""
+    inner = customers * 4 // 5
+    cfg = MetroGenConfig(
+        n_stations=stations,
+        battery=1000,
+        seed=1,
+        n_customers_inner=inner,
+        n_customers_outer=customers - inner,
+    )
+    demand = generate_metro_instance(cfg).total_demand
+    cfg = replace(cfg, m1_fleet=ceil(demand / cfg.q1_capacity) + cfg.n_satellites - 1)
+    return parse_instance(write_instance(generate_metro_instance(cfg)))
+
+
+@pytest.mark.parametrize(
+    "customers, stations, built, kept, digest",
+    [
+        (10, 5, 1276, 550, "0b1d9a2ebd27cc3255dfc4edbe3be1bf4f4ad249"),
+        (50, 20, 53714, 15454, "a03d690ff85d54fb736149cc45d791b2d6d07182"),
+    ],
+)
+def test_golden_metro_multigraph(customers, stations, built, kept, digest):
+    inst = _metro_instance(customers, stations)
+    g = build_multigraph(inst)
+    red = reduce_by_dominance(g)
+    assert (g.arc_count(), red.arc_count()) == (built, kept)
+    rows = [
+        ((i, j), tuple((a.tail, a.head, a.cost, a.consumption, a.station, a.station_leg)
+                       for a in red.arcs(i, j)))
+        for (i, j) in red.pairs()
+    ]
+    assert hashlib.sha1(repr(rows).encode()).hexdigest() == digest

@@ -10,11 +10,10 @@ from e2evrp.ngpricing import (
     NgStateSpaceExceeded,
     bound_report,
     ng_lower_bound,
-    omega,
     price_ng_routes,
 )
 
-from oracles import elementary_route_optima, make_instance, random_instance
+from oracles import elementary_route_optima, make_instance, omega, random_instance
 
 
 def _graph(inst):
