@@ -134,8 +134,8 @@ def solve(instance_path, time_limit, restarts, seed, runs, params_kv, json_out, 
 @main.command()
 @click.option("--set", "which", type=click.Choice(["7", "8"]), default=None, help="Generate a full benchmark-style set.")
 @click.option("--out-dir", type=click.Path(), default="instances", show_default=True)
-@click.option("--instances", type=int, default=20, show_default=True, help="Instances per level when generating a set.")
-@click.option("--stations", type=int, default=20, show_default=True)
+@click.option("--instances", type=click.IntRange(min=1), default=20, show_default=True, help="Instances per level when generating a set.")
+@click.option("--stations", type=click.IntRange(min=0), default=20, show_default=True)
 @click.option("--battery", default="1000", show_default=True, help="Battery capacity or 'inf'.")
 @click.option("--seed", type=int, default=1, show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="Single-instance output file (default: stdout).")
@@ -218,8 +218,8 @@ def check(instance_path, solution_path, as_json):
 @main.command()
 @click.option("--mode", type=click.Choice(["density", "battery"]), required=True)
 @click.option("--levels", required=True, help="Comma-separated level values, e.g. 2,5,10,15,25,50.")
-@click.option("--instances", type=int, default=10, show_default=True)
-@click.option("--runs", type=int, default=3, show_default=True)
+@click.option("--instances", type=click.IntRange(min=1), default=10, show_default=True)
+@click.option("--runs", type=click.IntRange(min=1), default=3, show_default=True)
 @click.option("--budget", type=float, default=60.0, show_default=True, help="Seconds per solver run.")
 @click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--battery", type=int, default=1000, show_default=True, help="Fixed battery for density sweeps.")

@@ -309,8 +309,7 @@ def repair(
     """
     shuffled = pending[:]
     rng.shuffle(shuffled)
-    by_demand = sorted(pending, key=lambda c: (-ctx.inst.demand[c], c))
-    for order in (shuffled, by_demand):
+    for order in (shuffled, _by_demand(ctx, pending)):
         cand = sol.clone()
         if not _insert_all(ctx, cand, order, closed):
             continue
@@ -321,6 +320,28 @@ def repair(
         cand.ensure_plans(ctx)
         return cand
     return None
+
+
+def _by_demand(ctx: SolverContext, customers: list[int]) -> list[int]:
+    return sorted(customers, key=lambda c: (-ctx.inst.demand[c], c))
+
+
+def _construction_failure(ctx: SolverContext) -> str:
+    """The step at which building a solution from scratch fails.
+
+    Every failed construction ends with the same deterministic attempt,
+    largest demand first and no satellite closed; it is replayed here.
+    """
+    inst = ctx.inst
+    if not _insert_all(ctx, WorkingSolution(), _by_demand(ctx, list(inst.customer_ids)), set()):
+        return (
+            "second-level insertion could not place every customer within the "
+            "vehicle capacity, the satellite capacities and the second-level fleet"
+        )
+    return (
+        f"the first-level fleet of {inst.m1_fleet} vehicle(s) cannot carry the "
+        "satellite demands"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +376,7 @@ def lns_run(inst: Instance, params: LnsParams) -> tuple[Solution, RunStats]:
     iterations = 0
     restarts = 0
     failures = 0
+    constructed = False
 
     def in_budget() -> bool:
         return params.t_max is None or time.monotonic() - start < params.t_max
@@ -373,6 +395,7 @@ def lns_run(inst: Instance, params: LnsParams) -> tuple[Solution, RunStats]:
             if params.max_restarts is None and not in_budget():
                 break
             continue
+        constructed = True
         local_search(ctx, cur, rng)
         cur_obj = cur.objective(inst)
         cur_time = time.monotonic() - start
@@ -403,6 +426,11 @@ def lns_run(inst: Instance, params: LnsParams) -> tuple[Solution, RunStats]:
             best, best_obj = cur, cur_obj
             best_time, best_iter = cur_time, cur_iter
 
+    if not constructed:
+        raise ConstructionError(
+            f"construction failed in all {restarts} restart(s): "
+            + _construction_failure(ctx)
+        )
     if best is None:
         raise ConstructionError(
             f"no battery-feasible solution found in {restarts} restart(s) "

@@ -21,6 +21,22 @@ sums.  A load-feasible candidate then runs through a two-stage test:
 
 Tail exchanges (2-opt*) stay within one satellite; moves across satellites
 check satellite capacity and re-cost the first level from scratch.
+
+Most evaluations repeat one that already failed on unchanged routes, within
+a call and across the calls of one run, so failures are memoized exactly.
+``SolverContext.failed_moves`` maps neighborhood, i and j to the tag of the
+last failed evaluation of the pair.  The tag is the content of the route
+holding i when j sits in the same route; otherwise it is the contents of
+both routes, whether i's route comes first in ``sol.routes`` and, when the
+two routes sit at different satellites, the satellite-demand map with the
+first-level cost.  A handler reads nothing else (plans are the memoized
+charging plans of the contents) and draws no random numbers, so skipping a
+pair whose tag is unchanged leaves the search path, the random stream and
+the result exactly as without the memo.  Route contents are interned to
+integer ids in ``SolverContext.route_ids``: plans cannot stand in for them,
+because two different routes can have equal plans.  The memo holds at most
+one entry per neighborhood and granular pair; the id table is emptied,
+together with the memo, once it exceeds ``CACHE_LIMIT``.
 """
 
 from __future__ import annotations
@@ -28,7 +44,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .search import SolverContext, WorkingSolution, build_first_level
+from .search import CACHE_LIMIT, SolverContext, WorkingSolution, build_first_level
 
 # approximate-filter slack: moves may deteriorate the frozen-station distance
 # of the touched routes by at most 3% before the exact re-evaluation
@@ -48,10 +64,14 @@ class _LsState:
     is the frozen-station distance from unit 0 to unit k, ``bwd[ri][k]`` the
     same sum walked backwards (unit k, its stop, then unit k-1, ...), and
     ``pref[ri][k]`` the demand of units 1..k.  ``loc`` maps a customer to its
-    (route, unit index) and ``last[ri]`` is the index of the closing unit.
+    (route, unit index), ``route_of`` to its route alone, and ``last[ri]`` is
+    the index of the closing unit.  ``tags[ri][rj]`` is the memo tag (module
+    docstring) of a pair with i in route ri and j in route rj.
     """
 
-    __slots__ = ("sol", "dist", "units", "fwd", "bwd", "pref", "last", "loc", "dem")
+    __slots__ = (
+        "sol", "dist", "units", "fwd", "bwd", "pref", "last", "loc", "route_of", "dem", "tags"
+    )
 
     def __init__(self, ctx: SolverContext, sol: WorkingSolution):
         self.sol = sol
@@ -66,9 +86,17 @@ class _LsState:
         self.pref: list[list[int]] = []
         self.last: list[int] = []
         self.loc: dict[int, tuple[int, int]] = {}
+        self.route_of: dict[int, int] = {}
         self.dem: dict[int, int] = self.sol.sat_demand()
+        ids = ctx.route_ids
+        codes = []
         for ri, route in enumerate(self.sol.routes):
             sat = route.satellite
+            content = (sat, tuple(route.customers))
+            code = ids.get(content)
+            if code is None:
+                code = ids[content] = len(ids)
+            codes.append(code)
             by_leg = dict(route.plan.stations) if route.plan else {}
             # the stop on leg l trails unit l-1 (unit 0 is the satellite)
             units = [(sat, by_leg.get(1))]
@@ -77,6 +105,7 @@ class _LsState:
                 units.append((c, by_leg.get(k + 1)))
                 pref.append(pref[-1] + demand[c])
                 self.loc[c] = (ri, k)
+                self.route_of[c] = ri
             units.append((sat, None))
             fwd, bwd = [0], [0]
             for (pv, ps), (v, s) in zip(units, units[1:]):
@@ -87,6 +116,18 @@ class _LsState:
             self.bwd.append(bwd)
             self.pref.append(pref)
             self.last.append(len(units) - 1)
+        sol = self.sol
+        sats = [route.satellite for route in sol.routes]
+        demand_key = (tuple(sorted(self.dem.items())), sol.l1_distance, len(sol.first_level))
+        self.tags: list[list] = [
+            [
+                ca if a == b
+                else (ca, cb, a < b) if sats[a] == sats[b]
+                else (ca, cb, a < b, demand_key)
+                for b, cb in enumerate(codes)
+            ]
+            for a, ca in enumerate(codes)
+        ]
 
 
 def local_search(
@@ -96,8 +137,14 @@ def local_search(
     if not sol.routes:
         return sol
     sol.ensure_plans(ctx)
-    st = _LsState(ctx, sol)
     customers = list(ctx.inst.customer_ids)
+    memo = ctx.failed_moves
+    if len(ctx.route_ids) > CACHE_LIMIT:
+        ctx.route_ids.clear()
+        memo.clear()
+    if not memo:
+        memo.update((nb, {c: {} for c in customers}) for nb in _NEIGHBORHOODS)
+    st = _LsState(ctx, sol)
     granular = ctx.granular
     improved = True
     while improved:
@@ -108,10 +155,22 @@ def local_search(
             scan = customers[:]
             rng.shuffle(scan)
             handler = _HANDLERS[nb]
+            failed = memo[nb]
             for i in scan:
+                row = failed[i]
+                seen = row.get
+                route_of = st.route_of
+                tags = st.tags[route_of[i]]
                 for j in granular[i]:
-                    if i != j and handler(ctx, st, i, j):
+                    tag = tags[route_of[j]]
+                    if seen(j) == tag:
+                        continue
+                    if handler(ctx, st, i, j):
                         improved = True
+                        route_of = st.route_of
+                        tags = st.tags[route_of[i]]
+                    else:
+                        row[j] = tag
     return sol
 
 

@@ -22,6 +22,9 @@ from .model import (
 )
 from .multigraph import Multigraph, build_multigraph, reduce_by_dominance
 
+# entries a per-run memo may hold before it is emptied wholesale
+CACHE_LIMIT = 500_000
+
 
 def build_neighbor_lists(inst: Instance, gamma: int) -> dict[int, tuple[int, ...]]:
     """Granular move lists: for each customer its gamma closest customers.
@@ -45,6 +48,10 @@ class SolverContext:
     granular: dict[int, tuple[int, ...]]  # first gamma of the above
     granular_set: dict[int, frozenset]  # same, for membership tests
     plan_cache: dict = field(default_factory=dict)
+    # local search's memo of failed move evaluations and the interned route
+    # contents its tags are made of; see ``localsearch``
+    failed_moves: dict = field(default_factory=dict)
+    route_ids: dict = field(default_factory=dict)
 
     @classmethod
     def build(cls, inst: Instance, gamma: int) -> "SolverContext":
@@ -60,7 +67,7 @@ class SolverContext:
         hit = self.plan_cache.get(key)
         if hit is None:
             hit = best_insertion(self.inst, self.graph, satellite, customers)
-            if len(self.plan_cache) > 500_000:
+            if len(self.plan_cache) > CACHE_LIMIT:
                 self.plan_cache.clear()
             self.plan_cache[key] = hit
         return hit

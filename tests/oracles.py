@@ -326,3 +326,34 @@ def omega(w: int, arc: MultiArc, battery_limit: int) -> frozenset[int]:
         if hi >= 0:
             return frozenset(range(hi + 1))
     return frozenset()
+
+
+# ---------------------------------------------------------------------------
+# Local-search reference
+# ---------------------------------------------------------------------------
+
+
+def local_search_reference(ctx, sol, rng: random.Random):
+    """``local_search`` without its failed-move memo: every pass evaluates
+    every granular pair of every neighborhood again."""
+    from e2evrp import localsearch as ls
+
+    if not sol.routes:
+        return sol
+    sol.ensure_plans(ctx)
+    st = ls._LsState(ctx, sol)
+    customers = list(ctx.inst.customer_ids)
+    improved = True
+    while improved:
+        improved = False
+        order = list(ls._NEIGHBORHOODS)
+        rng.shuffle(order)
+        for nb in order:
+            scan = customers[:]
+            rng.shuffle(scan)
+            handler = ls._HANDLERS[nb]
+            for i in scan:
+                for j in ctx.granular[i]:
+                    if i != j and handler(ctx, st, i, j):
+                        improved = True
+    return sol

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from e2evrp.cli import main
@@ -202,3 +203,22 @@ def test_sweep_empty_levels_is_a_clean_error(tmp_path):
     assert isinstance(res.exception, SystemExit)
     assert "--levels" in res.output
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["sweep", "--mode", "battery", "--levels", "1000", "--instances", "0"], "--instances"),
+        (["sweep", "--mode", "battery", "--levels", "1000", "--runs", "0"], "--runs"),
+        (["generate", "--set", "8", "--instances", "0"], "--instances"),
+        (["generate", "--stations", "-1"], "--stations"),
+    ],
+)
+def test_bad_counts_are_a_clean_error(tmp_path, args, option):
+    out = tmp_path / "out"
+    args = args + (["--out", str(out)] if args[0] == "sweep" else ["--out-dir", str(out)])
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert option in res.output
+    assert not out.exists()

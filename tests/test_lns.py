@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -13,10 +14,11 @@ from e2evrp.lns import (
     remove_singleton_routes,
     repair,
 )
-from e2evrp.model import check_feasibility
+from e2evrp.model import check_feasibility, write_solution
 from e2evrp.search import SolverContext, WorkingRoute, WorkingSolution, build_first_level
 
 from oracles import make_instance, random_instance
+from test_multigraph import _metro_instance
 
 
 def _ctx(inst, gamma=25):
@@ -309,7 +311,18 @@ def test_construction_error_when_fleet_impossible():
         m2=1,  # one vehicle, two routes needed
         battery=None,
     )
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ConstructionError, match="construction failed.*second-level insertion"):
+        lns_run(inst, LnsParams(t_max=None, max_restarts=2, i_max=5))
+    # three second-level routes fit, but their 120 units need two trucks
+    inst = make_instance(
+        satellites=((1, (0, 0), None, 3),),
+        customers=((2, (10, 0), 40), (3, (20, 0), 40), (4, (30, 0), 40)),
+        q2=50,
+        q1=100,
+        m1=1,
+        battery=None,
+    )
+    with pytest.raises(ConstructionError, match="construction failed.*first-level fleet of 1"):
         lns_run(inst, LnsParams(t_max=None, max_restarts=2, i_max=5))
 
 
@@ -337,3 +350,19 @@ def test_time_budget_respected():
     t0 = time.monotonic()
     lns_run(inst, LnsParams(t_max=1.0, seed=1))
     assert time.monotonic() - t0 < 8.0  # budget plus construction slack
+
+
+@pytest.mark.parametrize(
+    "customers, stations, seed, i_max, fields, digest",
+    [
+        (50, 20, 2, 20, (15028, 26, 1, 0, 6), "199ae6852a143f5bbe660230d7fa5fc1ec76678f"),
+        (10, 5, 1, 20, (5763, 29, 1, 0, 9), "c4645bf72d95051400b7c00a8e2b9b938b621ced"),
+    ],
+)
+def test_golden_metro_solves(customers, stations, seed, i_max, fields, digest):
+    """The benchmark's metro solves (instance seed 1, one restart) are pinned:
+    a change to the search that should keep its path must keep these."""
+    inst = _metro_instance(customers, stations)
+    sol, stats = lns_run(inst, LnsParams(t_max=None, max_restarts=1, i_max=i_max, seed=seed))
+    assert stats.deterministic_fields() == fields
+    assert hashlib.sha1(write_solution(sol).encode()).hexdigest() == digest

@@ -1,12 +1,15 @@
 import random
+from dataclasses import replace
+from math import ceil
 
+from e2evrp import lns
 from e2evrp import localsearch as ls
-from e2evrp.lns import repair
+from e2evrp.lns import LnsParams, lns_run, repair
 from e2evrp.localsearch import local_search
-from e2evrp.model import check_feasibility
+from e2evrp.model import check_feasibility, unservable_customers, write_solution
 from e2evrp.search import SolverContext, WorkingRoute, WorkingSolution, build_first_level
 
-from oracles import make_instance, random_instance
+from oracles import local_search_reference, make_instance, random_instance
 
 
 def _ctx(inst, gamma=25):
@@ -235,3 +238,115 @@ def test_segment_evaluator_matches_spliced_routes(monkeypatch):
         assert sol.objective(inst) == before  # every move was rejected
     assert all(seen.values()), seen
     assert all(covered.values()), covered
+
+
+def _same_runs(monkeypatch, inst, params, memoized=local_search):
+    """Run ``lns_run`` with the memoized and with the reference scan, require
+    the same solution text and counters, and return the solution."""
+    runs = []
+    for scan in (memoized, local_search_reference):
+        monkeypatch.setattr(lns, "local_search", scan)
+        sol, stats = lns_run(inst, params)
+        runs.append((write_solution(sol), stats.deterministic_fields()))
+    assert runs[0] == runs[1]
+    return sol
+
+
+def test_memo_matches_reference_scan(monkeypatch):
+    """The failed-move memo only skips evaluations that would fail again: a
+    search with it and one with the reference scan, which evaluates every pair
+    on every pass, end in the same solution (and, in ``lns_run``, the same
+    counters)."""
+    # satellite 2 is full, so customer 3 cannot join route [4] there until
+    # customer 5 leaves for satellite 1; routes [3] and [4] stay as they were,
+    # and only the satellite-demand part of the tag tells the memo to retry
+    inst = make_instance(
+        depot=(50, -50),
+        satellites=((1, (0, 0), None, 5), (2, (100, 0), 20, 5)),
+        customers=((3, (60, 0), 10), (4, (100, 20), 10), (5, (-10, 0), 10), (6, (-10, 10), 10)),
+        q2=50,
+        q1=100,
+        battery=None,
+    )
+    for seed in range(20):
+        ends = []
+        for scan in (local_search, local_search_reference):
+            ctx = _ctx(inst, gamma=2)
+            sol = _complete(ctx, WorkingSolution([
+                WorkingRoute(1, [3], 10), WorkingRoute(2, [4], 10),
+                WorkingRoute(2, [5], 10), WorkingRoute(1, [6], 10),
+            ]))
+            scan(ctx, sol, random.Random(seed))
+            ends.append(sorted((r.satellite, r.customers) for r in sol.routes))
+        assert ends[0] == ends[1], seed
+        assert any(sat == 2 and 3 in route for sat, route in ends[0])
+
+    rng = random.Random(2025)
+    covered = {"capped": 0, "multi_satellite": 0, "unconstrained": 0, "charging_stops": 0}
+    draws = 0
+    while draws < 40:
+        n_s = rng.randint(1, 3)
+        inst = random_instance(
+            rng, n_c=rng.randint(8, 30), n_s=n_s, n_r=3, span=200,
+            battery=rng.choice([None, 300, 400, 600]), q2=60, m2_local=8, m2=24,
+            q1=100, f1=30,
+        )
+        if unservable_customers(inst):
+            continue
+        draws += 1
+        if n_s > 1:
+            # no satellite can serve more than its share plus a tenth, so
+            # moves across satellites depend on the satellite-demand map
+            cap = ceil(inst.total_demand * 1.1 / n_s)
+            assert cap < inst.total_demand
+            inst = replace(
+                inst, satellites=tuple(replace(s, capacity=cap) for s in inst.satellites)
+            )
+            covered["capped"] += 1
+        params = LnsParams(t_max=None, max_restarts=2, i_max=10, seed=draws)
+        sol = _same_runs(monkeypatch, inst, params)
+        covered["multi_satellite"] += len({r.satellite for r in sol.second_level_routes}) > 1
+        covered["unconstrained"] += inst.battery_capacity is None
+        customers = set(inst.customer_ids)
+        covered["charging_stops"] += any(
+            v not in customers for r in sol.second_level_routes for v in r.visits
+        )
+    assert min(covered.values()) >= 5, covered
+
+
+def test_memo_hazards(monkeypatch):
+    """Route identity comes from interned contents, not plans; emptying the id
+    table at its limit keeps the search exact; the memo keeps its bound."""
+    # two different routes with equal plans get different ids and tags
+    inst = make_instance(
+        satellites=((1, (0, 0), None, 5),),
+        customers=((2, (10, 0), 5), (3, (0, 10), 5)),
+        q2=50,
+        q1=100,
+        battery=None,
+    )
+    ctx = _ctx(inst)
+    sol = _complete(ctx, WorkingSolution([WorkingRoute(1, [2], 5), WorkingRoute(1, [3], 5)]))
+    assert sol.routes[0].plan == sol.routes[1].plan
+    st = ls._LsState(ctx, sol)
+    assert len(ctx.route_ids) == 2 and st.tags[0][0] != st.tags[1][1]
+
+    # with a limit of 10 ids, table and memo are emptied many times a run
+    monkeypatch.setattr(ls, "CACHE_LIMIT", 10)
+    contexts = []
+
+    def memoized(ctx, sol, rng):
+        contexts.append(ctx)
+        return local_search(ctx, sol, rng)
+
+    rng = random.Random(99)
+    for seed in range(6):
+        inst = random_instance(
+            rng, n_c=rng.randint(10, 20), n_s=2, n_r=3, span=200, battery=400, q2=60,
+        )
+        params = LnsParams(t_max=None, max_restarts=2, i_max=10, seed=seed)
+        _same_runs(monkeypatch, inst, params, memoized)
+        ctx = contexts[-1]
+        gamma = len(ctx.granular[inst.customer_ids[0]])
+        entries = sum(len(row) for rows in ctx.failed_moves.values() for row in rows.values())
+        assert entries <= len(ls._NEIGHBORHOODS) * len(inst.customers) * gamma
