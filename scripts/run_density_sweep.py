@@ -9,6 +9,7 @@ import argparse
 import os
 
 from e2evrp.bench import DENSITY_LEVELS, fit_power_law, sweep, write_sweep_csv
+from e2evrp.lns import LnsParams
 
 
 def main() -> None:
@@ -30,7 +31,7 @@ def main() -> None:
         "density",
         instances_per_level=instances,
         runs_per_instance=args.runs,
-        budget_s=args.budget,
+        params=LnsParams(t_max=args.budget),
         workers=args.workers,
         density_battery=args.battery,
     )

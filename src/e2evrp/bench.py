@@ -350,9 +350,9 @@ class SweepRecord:
 
 
 def _sweep_job(args: tuple) -> SweepRunRecord:
-    cfg, run_seed, budget_s, params = args
+    cfg, run_seed, params = args
     inst = generate_metro_instance(cfg)
-    run_params = replace(params, seed=run_seed, t_max=budget_s)
+    run_params = replace(params, seed=run_seed)
     sol_c, _ = lns_run(inst, run_params)
     free = replace(inst, battery_capacity=None)
     sol_u, _ = lns_run(free, run_params)
@@ -375,7 +375,6 @@ def sweep(
     *,
     instances_per_level: int = 10,
     runs_per_instance: int = 3,
-    budget_s: float = 60.0,
     params: Optional[LnsParams] = None,
     workers: int = 1,
     density_battery: int = 1000,
@@ -385,13 +384,15 @@ def sweep(
     """Solve paired (constrained, unconstrained) runs over a parameter grid.
 
     ``mode`` is ``"density"`` (values = station counts, fixed battery) or
-    ``"battery"`` (values = battery capacities, fixed station count).  The
-    desk-scale defaults keep a full sweep tractable; the full benchmark scale
-    is 20 instances per level with budgets up to 900 s.
+    ``"battery"`` (values = battery capacities, fixed station count).  Every
+    run uses ``params`` with its own seed, so the budget is ``params.t_max``
+    and/or ``params.max_restarts`` (default: 60 s).  The desk-scale defaults
+    keep a full sweep tractable; the full benchmark scale is 20 instances per
+    level with budgets up to 900 s.
     """
     if mode not in ("density", "battery"):
         raise ValueError("mode must be 'density' or 'battery'")
-    params = params or LnsParams()
+    params = params or LnsParams(t_max=60.0)
     proto = base_config or MetroGenConfig(n_stations=battery_stations, battery=density_battery)
 
     # screen instance seeds at the sweep's tightest level so that every level
@@ -411,7 +412,7 @@ def sweep(
             else:
                 cfg = replace(proto, n_stations=battery_stations, battery=level, seed=iseed)
             for rseed in range(1, runs_per_instance + 1):
-                jobs.append((cfg, rseed, budget_s, params))
+                jobs.append((cfg, rseed, params))
                 keys.append(level)
 
     if workers > 1:

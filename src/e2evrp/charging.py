@@ -72,14 +72,12 @@ def _propagate(
     layers: list[list[tuple]] = [[(0, 0, 0, -1, None)]]
     for leg in range(1, len(seq)):
         i, j = seq[leg - 1], seq[leg]
-        # (cost, consumption, station, station leg) of each arc, as plain
-        # tuples: they unpack faster than MultiArc in the label loop
-        options = [arc[2:] for arc in graph.arcs(i, j)]
+        options = graph.arcs(i, j)
         if not options:
             if not penalized:
                 return None
             # no admissible arc at all: ride the raw direct leg and pay for it
-            options = [(inst.distance(i, j), inst.consumption(i, j), None, 0)]
+            options = ((inst.distance(i, j), inst.consumption(i, j), None, 0),)
         prev = layers[-1]
         nxt: list[tuple] = []
         for li, (w, dist, exc, _, _) in enumerate(prev):

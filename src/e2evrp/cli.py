@@ -156,8 +156,10 @@ def generate(which, out_dir, instances, stations, battery, seed, out, full_axis)
         return
     try:
         cap = None if battery.lower() == "inf" else int(battery)
+        if cap is not None and cap < 1:
+            raise ValueError(battery)
     except ValueError:
-        _fail(f"bad --battery {battery!r}, expected an integer or 'inf'", False)
+        _fail(f"bad --battery {battery!r}, expected a positive integer or 'inf'", False)
     cfg = bench.MetroGenConfig(
         n_stations=stations, battery=cap, seed=seed, extent_is_semi_axis=not full_axis
     )
@@ -221,9 +223,9 @@ def check(instance_path, solution_path, as_json):
 @click.option("--instances", type=click.IntRange(min=1), default=10, show_default=True)
 @click.option("--runs", type=click.IntRange(min=1), default=3, show_default=True)
 @click.option("--budget", type=float, default=60.0, show_default=True, help="Seconds per solver run.")
-@click.option("--workers", type=int, default=1, show_default=True)
-@click.option("--battery", type=int, default=1000, show_default=True, help="Fixed battery for density sweeps.")
-@click.option("--stations", type=int, default=20, show_default=True, help="Fixed station count for battery sweeps.")
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
+@click.option("--battery", type=click.IntRange(min=1), default=1000, show_default=True, help="Fixed battery for density sweeps.")
+@click.option("--stations", type=click.IntRange(min=0), default=20, show_default=True, help="Fixed station count for battery sweeps.")
 @click.option("--out", type=click.Path(), required=True, help="CSV output path.")
 def sweep(mode, levels, instances, runs, budget, workers, battery, stations, out):
     """Paired battery-constrained / unconstrained sweep; writes a CSV."""
@@ -233,12 +235,19 @@ def sweep(mode, levels, instances, runs, budget, workers, battery, stations, out
         _fail(f"bad --levels {levels!r}, expected comma-separated integers", False)
     if not values:
         _fail(f"bad --levels {levels!r}, expected at least one integer", False)
+    least = 1 if mode == "battery" else 0  # a battery capacity, or a station count
+    if min(values) < least:
+        _fail(f"bad --levels {levels!r}, {mode} levels must be >= {least}", False)
+    try:
+        params = LnsParams(t_max=budget)
+    except ValueError as exc:
+        _fail(f"bad --budget {budget!r}: {exc}", False)
     records = bench.sweep(
         values,
         mode,
         instances_per_level=instances,
         runs_per_instance=runs,
-        budget_s=budget,
+        params=params,
         workers=workers,
         density_battery=battery,
         battery_stations=stations,
@@ -262,7 +271,7 @@ def sweep(mode, levels, instances, runs, budget, workers, battery, stations, out
 @main.command()
 @click.argument("instance_path", metavar="INSTANCE")
 @click.option("--delta", type=click.IntRange(min=1), default=8, show_default=True, help="Neighborhood memory size.")
-@click.option("--max-states", type=int, default=2_000_000, show_default=True)
+@click.option("--max-states", type=click.IntRange(min=1), default=2_000_000, show_default=True)
 @click.option("--json-out", type=click.Path(), default=None)
 @click.option("--json", "as_json", is_flag=True)
 def bound(instance_path, delta, max_states, json_out, as_json):

@@ -6,23 +6,28 @@ charging location k reachable within battery range on both half-legs.  A
 via-station arc costs the full detour ``d(i,k) + d(k,j)`` but its arrival
 consumption is only ``c(k,j)`` because the battery is fully restored at k.
 
-Arcs are plain named tuples.  Every bundle is sorted by
-:meth:`MultiArc.sort_key` -- cost, then arrival consumption, then station id
-with the direct arc as -1 -- and holds at most one arc per station, so that
-order is total.  The build computes once, per satellite and customer, its
-*reach map*: the charging locations within battery range of it, with their
-distances.  Distances are symmetric, so the via arcs of pair (i, j) are the
-entries k of i's reach map that also lie in j's, and no pair × station
-distance is queried.
+Each arc is a plain row ``(cost, consumption, station, station_leg)``:
+``consumption`` is the arrival consumption at the head in scaled units,
+``station`` the charging location id or ``None`` for the direct leg, and
+``station_leg`` the consumption from the tail to the station (0 for the
+direct leg).  A graph maps each ordered pair ``(tail, head)`` to a tuple of
+such rows, its *bundle*; the charging DP and the ng pricing read the rows
+as they are.  Every bundle is sorted by cost, then arrival consumption,
+then station id with the direct arc as -1, and holds at most one arc per
+station, so that order is total.  The build computes once, per satellite
+and customer, its *reach map*: the charging locations within battery range
+of it, with their distances.  Distances are symmetric, so the via arcs of
+pair (i, j) are the entries k of i's reach map that also lie in j's, and no
+pair × station distance is queried.
 
 Arc bundles are then thinned by a dominance rule that is sensitive to the
 tail type: leaving a satellite the battery is always full, so only (cost,
 arrival consumption) matter; leaving a customer the approach leg to the
 station also matters, and direct arcs are never compared against via arcs.
-Of arcs tied on every compared field the one with the smallest sort key
+Of arcs tied on every compared field the one first in the sort order above
 survives.  The reduction is a sort-and-sweep over each bundle:
 
-* satellite tail: in sort-key order, keep an arc iff its consumption is
+* satellite tail: in that sort order, keep an arc iff its consumption is
   strictly below that of the last arc kept;
 * customer tail: keep every direct arc; take the via arcs in
   (cost, consumption, station leg, station) order and keep one iff no arc
@@ -33,39 +38,34 @@ Survivors are emitted in their original bundle order.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional, Sequence
+from bisect import bisect_left
+from typing import Iterator, Optional, Sequence
 
-from .model import Instance, SecondLevelRoute
+from .model import Instance
 
-
-class MultiArc(NamedTuple):
-    tail: int
-    head: int
-    cost: int
-    consumption: int  # arrival consumption at head, scaled units
-    station: Optional[int]  # charging location id, None = direct leg
-    station_leg: int = 0  # consumption tail -> station (0 for direct arcs)
-
-    def sort_key(self) -> tuple[int, int, int]:
-        return (self.cost, self.consumption, -1 if self.station is None else self.station)
+# (cost, consumption, station or None, station leg) -- see the module docstring
+Arc = tuple[int, int, Optional[int], int]
 
 
 class Multigraph:
-    """Per ordered pair, the surviving arcs sorted by cost ascending."""
+    """Per ordered pair, the surviving arc rows sorted by cost ascending.
 
-    def __init__(self, inst: Instance, bundles: dict[tuple[int, int], tuple[MultiArc, ...]]):
+    ``bundles`` maps ``(tail, head)`` to the pair's rows; pairs without an
+    admissible arc are absent.
+    """
+
+    def __init__(self, inst: Instance, bundles: dict[tuple[int, int], tuple[Arc, ...]]):
         self.instance = inst
-        self._bundles = bundles
-        self._empty: tuple[MultiArc, ...] = ()
+        self.bundles = bundles
 
-    def arcs(self, tail: int, head: int) -> tuple[MultiArc, ...]:
-        return self._bundles.get((tail, head), self._empty)
+    def arcs(self, tail: int, head: int) -> tuple[Arc, ...]:
+        return self.bundles.get((tail, head), ())
 
     def pairs(self) -> Iterator[tuple[int, int]]:
-        return iter(self._bundles)
+        return iter(self.bundles)
 
     def arc_count(self) -> int:
-        return sum(len(b) for b in self._bundles.values())
+        return sum(len(b) for b in self.bundles.values())
 
 
 def build_multigraph(inst: Instance) -> Multigraph:
@@ -103,43 +103,45 @@ def build_multigraph(inst: Instance) -> Multigraph:
                     near[k] = (d, scale * d)
         reach[v] = near
 
-    bundles: dict[tuple[int, int], tuple[MultiArc, ...]] = {}
+    bundles: dict[tuple[int, int], tuple[Arc, ...]] = {}
     for i, j in pairs:
-        d_ij = dist(i, j)
-        c_ij = scale * d_ij
-        # (cost, consumption, station or -1, station leg) sorts as sort_key
-        rows = [(d_ij, c_ij, -1, 0)] if limit is None or c_ij <= limit else []
         near_j = reach[j]
+        rows: list[Arc] = []
         for k, (d_ik, c_ik) in reach[i].items():
             kj = near_j.get(k)
             if kj is not None:
                 rows.append((d_ik + kj[0], kj[1], k, c_ik))
+        rows.sort()
+        d_ij = dist(i, j)
+        c_ij = scale * d_ij
+        if limit is None or c_ij <= limit:
+            # the direct arc sorts as station -1: ahead of the via arcs it
+            # ties with on (cost, consumption)
+            rows.insert(bisect_left(rows, (d_ij, c_ij)), (d_ij, c_ij, None, 0))
         if rows:
-            rows.sort()
-            bundles[i, j] = tuple(
-                MultiArc(i, j, cost, cons, None if k < 0 else k, leg)
-                for cost, cons, k, leg in rows
-            )
+            bundles[i, j] = tuple(rows)
     return Multigraph(inst, bundles)
 
 
-def _sweep_satellite_tail(bundle: Sequence[MultiArc]) -> list[int]:
+def _sweep_satellite_tail(bundle: Sequence[Arc]) -> list[int]:
     """Positions of the survivors in a bundle leaving a satellite."""
     keep = []
     last = None
-    for p in sorted(range(len(bundle)), key=lambda p: bundle[p].sort_key()):
-        cons = bundle[p].consumption
+    for _, cons, _, p in sorted(
+        (cost, cons, -1 if station is None else station, p)
+        for p, (cost, cons, station, _) in enumerate(bundle)
+    ):
         if last is None or cons < last:
             keep.append(p)
             last = cons
     return keep
 
 
-def _sweep_customer_tail(bundle: Sequence[MultiArc]) -> list[int]:
+def _sweep_customer_tail(bundle: Sequence[Arc]) -> list[int]:
     """Positions of the survivors in a bundle leaving a customer."""
     keep = []
     via = []
-    for p, (_, _, cost, cons, station, leg) in enumerate(bundle):
+    for p, (cost, cons, station, leg) in enumerate(bundle):
         if station is None:
             keep.append(p)
         else:
@@ -160,9 +162,8 @@ def reduce_by_dominance(graph: Multigraph) -> Multigraph:
     """Drop arcs that some parallel arc renders useless in any optimal route."""
     inst = graph.instance
     sat_set = set(inst.satellite_ids)
-    reduced: dict[tuple[int, int], tuple[MultiArc, ...]] = {}
-    for (i, j) in graph.pairs():
-        bundle = graph.arcs(i, j)
+    reduced: dict[tuple[int, int], tuple[Arc, ...]] = {}
+    for (i, j), bundle in graph.bundles.items():
         if len(bundle) == 1:
             reduced[i, j] = bundle
             continue
@@ -170,31 +171,3 @@ def reduce_by_dominance(graph: Multigraph) -> Multigraph:
         keep.sort()
         reduced[i, j] = tuple([bundle[p] for p in keep])
     return Multigraph(inst, reduced)
-
-
-def expand_arc_route(inst: Instance, arcs: Sequence[MultiArc]) -> SecondLevelRoute:
-    """Map a chained arc route in the multigraph back to an explicit route.
-
-    Via-station arcs expand to (tail, station, head); costs and the battery
-    trace are preserved exactly.
-    """
-    if not arcs:
-        raise ValueError("empty arc route")
-    sat = arcs[0].tail
-    if sat not in inst.satellite_by_id:
-        raise ValueError(f"arc route must start at a satellite, got {sat}")
-    if arcs[-1].head != sat:
-        raise ValueError("arc route must return to its starting satellite")
-    visits: list[int] = []
-    load = 0
-    prev_head = sat
-    for idx, arc in enumerate(arcs):
-        if arc.tail != prev_head:
-            raise ValueError(f"arc {idx} tail {arc.tail} does not chain from {prev_head}")
-        if arc.station is not None:
-            visits.append(arc.station)
-        if idx < len(arcs) - 1:
-            visits.append(arc.head)
-            load += inst.demand.get(arc.head, 0)
-        prev_head = arc.head
-    return SecondLevelRoute(sat, tuple(visits), load)

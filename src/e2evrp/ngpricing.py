@@ -87,9 +87,7 @@ def price_ng_routes(
     q2 = inst.q2_capacity
     limit = inst.battery_limit
 
-    # per ordered pair, (cost, consumption, station, station leg) of each arc,
-    # as plain tuples: they unpack faster than MultiArc in the loops below
-    options = {(i, j): [arc[2:] for arc in graph.arcs(i, j)] for i, j in graph.pairs()}
+    bundles = graph.bundles
 
     # labels[(vertex, load, memory mask)] -> nondominated [(w, cost)]
     labels: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
@@ -121,10 +119,10 @@ def price_ng_routes(
     for c in custs:
         if demand[c] > q2:
             continue
-        for arc in graph.arcs(satellite, c):
+        for arc_cost, arc_cons, _, _ in graph.arcs(satellite, c):
             # leaving the satellite fully charged, arrival consumption is the
             # arc's own consumption for both arc kinds
-            push((c, demand[c], bit[c]), arc.consumption, arc.cost)
+            push((c, demand[c], bit[c]), arc_cons, arc_cost)
 
     # transitions strictly increase the load, so sweeping loads upward visits
     # every reachable state after all its predecessors
@@ -141,7 +139,7 @@ def price_ng_routes(
                 qn = q + demand[j]
                 if qn > q2:
                     continue
-                opts = options.get((i, j))
+                opts = bundles.get((i, j))
                 if not opts:
                     continue
                 nkey = (j, qn, (mask & nmask[j]) | bit[j])
@@ -165,7 +163,7 @@ def price_ng_routes(
     table: dict[tuple[int, int], int] = {}
     for (i, q, _mask), labs in labels.items():
         entry = table.get((q, i), None)
-        for arc_cost, arc_cons, station, station_leg in options.get((i, satellite), ()):
+        for arc_cost, arc_cons, station, station_leg in bundles.get((i, satellite), ()):
             for w, cost in labs:
                 if limit is not None:
                     need = w + (arc_cons if station is None else station_leg)

@@ -11,8 +11,8 @@ from __future__ import annotations
 import random
 from typing import Optional, Sequence
 
-from e2evrp.model import Customer, Instance, Satellite, Station
-from e2evrp.multigraph import MultiArc, Multigraph
+from e2evrp.model import Customer, Instance, Satellite, SecondLevelRoute, Station
+from e2evrp.multigraph import Arc, Multigraph
 
 
 def make_instance(
@@ -268,30 +268,32 @@ def elementary_route_optima(
 # ---------------------------------------------------------------------------
 
 
-def removable(r1: MultiArc, r2: MultiArc, tail_is_satellite: bool) -> bool:
+def sort_key(row: Arc) -> tuple[int, int, int]:
+    """Bundle order: cost, arrival consumption, station id (direct arc -1)."""
+    cost, cons, station, _ = row
+    return (cost, cons, -1 if station is None else station)
+
+
+def removable(r1: Arc, r2: Arc, tail_is_satellite: bool) -> bool:
     """The paper's dominance rule, pairwise: whether r2 justifies dropping r1."""
+    cost1, cons1, station1, leg1 = r1
+    cost2, cons2, station2, leg2 = r2
     if tail_is_satellite:
-        if r2.cost > r1.cost or r2.consumption > r1.consumption:
+        if cost2 > cost1 or cons2 > cons1:
             return False
     else:
         # customer tail: the rule only relates two via-station arcs
-        if r1.station is None or r2.station is None:
+        if station1 is None or station2 is None:
             return False
-        if (
-            r2.cost > r1.cost
-            or r2.consumption > r1.consumption
-            or r2.station_leg > r1.station_leg
-        ):
+        if cost2 > cost1 or cons2 > cons1 or leg2 > leg1:
             return False
-    if (r2.cost, r2.consumption) != (r1.cost, r1.consumption) or (
-        not tail_is_satellite and r2.station_leg != r1.station_leg
-    ):
+    if (cost2, cons2) != (cost1, cons1) or (not tail_is_satellite and leg2 != leg1):
         return True
     # full tie: keep exactly one arc, the lexicographically smallest
-    return r2.sort_key() < r1.sort_key()
+    return sort_key(r2) < sort_key(r1)
 
 
-def reduce_bundle(bundle: Sequence[MultiArc], tail_is_satellite: bool) -> tuple[MultiArc, ...]:
+def reduce_bundle(bundle: Sequence[Arc], tail_is_satellite: bool) -> tuple[Arc, ...]:
     """O(b²) reference reduction: keep each arc no other arc of the bundle removes."""
     return tuple(
         r1
@@ -304,28 +306,57 @@ def multigraph_csv(graph: Multigraph) -> str:
     """Debug dump: one `tail,head,p,cost,consumption,station` row per arc."""
     rows = ["tail,head,p,cost,consumption,station"]
     for (i, j) in sorted(graph.pairs()):
-        for p, arc in enumerate(graph.arcs(i, j), 1):
-            st = "" if arc.station is None else arc.station
-            rows.append(f"{i},{j},{p},{arc.cost},{arc.consumption},{st}")
+        for p, (cost, cons, station, _) in enumerate(graph.arcs(i, j), 1):
+            st = "" if station is None else station
+            rows.append(f"{i},{j},{p},{cost},{cons},{st}")
     return "\n".join(rows) + "\n"
 
 
-def omega(w: int, arc: MultiArc, battery_limit: int) -> frozenset[int]:
+def omega(w: int, arc: Arc, battery_limit: int) -> frozenset[int]:
     """Admissible predecessor consumptions for arriving along ``arc`` with ``w``.
 
     Direct arc: the single value ``w - c`` when the leg fits; via station k:
     any charge state that still reaches k, provided ``w`` equals the fixed
     station-to-head consumption; empty otherwise.
     """
-    if arc.station is None:
-        if arc.consumption <= w:
-            return frozenset({w - arc.consumption})
+    _, cons, station, station_leg = arc
+    if station is None:
+        if cons <= w:
+            return frozenset({w - cons})
         return frozenset()
-    if w == arc.consumption:
-        hi = battery_limit - arc.station_leg
+    if w == cons:
+        hi = battery_limit - station_leg
         if hi >= 0:
             return frozenset(range(hi + 1))
     return frozenset()
+
+
+def expand_arc_route(inst: Instance, legs: Sequence[tuple[int, int, Arc]]) -> SecondLevelRoute:
+    """Map a chained arc route in the multigraph back to an explicit route.
+
+    Each leg is ``(tail, head, row)``.  Via-station arcs expand to (tail,
+    station, head); costs and the battery trace are preserved exactly.
+    """
+    if not legs:
+        raise ValueError("empty arc route")
+    sat = legs[0][0]
+    if sat not in inst.satellite_by_id:
+        raise ValueError(f"arc route must start at a satellite, got {sat}")
+    if legs[-1][1] != sat:
+        raise ValueError("arc route must return to its starting satellite")
+    visits: list[int] = []
+    load = 0
+    prev_head = sat
+    for idx, (tail, head, (_, _, station, _)) in enumerate(legs):
+        if tail != prev_head:
+            raise ValueError(f"arc {idx} tail {tail} does not chain from {prev_head}")
+        if station is not None:
+            visits.append(station)
+        if idx < len(legs) - 1:
+            visits.append(head)
+            load += inst.demand.get(head, 0)
+        prev_head = head
+    return SecondLevelRoute(sat, tuple(visits), load)
 
 
 # ---------------------------------------------------------------------------

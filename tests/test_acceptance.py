@@ -216,7 +216,7 @@ def test_criterion_6_station_density_trend():
         "density",
         instances_per_level=10,
         runs_per_instance=3,
-        budget_s=60.0,
+        params=LnsParams(t_max=60.0),
         workers=workers,
     )
     means = {r.level: r.mean_detour_pct for r in records}
@@ -238,7 +238,7 @@ def test_criterion_7_battery_capacity_trend():
         "battery",
         instances_per_level=10,
         runs_per_instance=3,
-        budget_s=60.0,
+        params=LnsParams(t_max=60.0),
         workers=workers,
     )
     means = {r.level: r.mean_detour_pct for r in records}

@@ -265,7 +265,6 @@ def test_sweep_smoke_and_csv(tmp_path):
         "density",
         instances_per_level=1,
         runs_per_instance=1,
-        budget_s=None,
         params=_tiny_params(),
         density_battery=400,
         base_config=_tiny_cfg(),
@@ -286,7 +285,6 @@ def test_sweep_battery_mode_and_worker_determinism(tmp_path):
     kwargs = dict(
         instances_per_level=1,
         runs_per_instance=2,
-        budget_s=None,
         params=_tiny_params(),
         battery_stations=2,
         base_config=_tiny_cfg(),
@@ -311,4 +309,4 @@ def test_unconstrained_run_never_visits_stations():
 
 def test_sweep_rejects_bad_mode():
     with pytest.raises(ValueError):
-        sweep([1], "speed", instances_per_level=1, runs_per_instance=1, budget_s=None, params=_tiny_params())
+        sweep([1], "speed", instances_per_level=1, runs_per_instance=1, params=_tiny_params())

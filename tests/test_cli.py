@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from e2evrp import bench
 from e2evrp.cli import main
 from e2evrp.model import parse_instance, parse_solution
 
@@ -205,6 +206,13 @@ def test_sweep_empty_levels_is_a_clean_error(tmp_path):
     assert not (tmp_path / "s.csv").exists()
 
 
+def _sweep_must_not_start(*args, **kwargs):
+    raise AssertionError("bench.sweep was called")
+
+
+OUT_OPTION = {"sweep": "--out", "generate": "--out-dir", "bound": "--json-out"}
+
+
 @pytest.mark.parametrize(
     "args, option",
     [
@@ -212,13 +220,46 @@ def test_sweep_empty_levels_is_a_clean_error(tmp_path):
         (["sweep", "--mode", "battery", "--levels", "1000", "--runs", "0"], "--runs"),
         (["generate", "--set", "8", "--instances", "0"], "--instances"),
         (["generate", "--stations", "-1"], "--stations"),
+        (["generate", "--battery", "0"], "--battery"),
+        (["generate", "--battery", "-5"], "--battery"),
+        (["sweep", "--mode", "battery", "--levels", "0"], "--levels"),
+        (["sweep", "--mode", "density", "--levels", "-2"], "--levels"),
+        (["sweep", "--mode", "battery", "--levels", "1000", "--workers", "0"], "--workers"),
+        (["sweep", "--mode", "density", "--levels", "5", "--battery", "0"], "--battery"),
+        (["sweep", "--mode", "battery", "--levels", "1000", "--stations", "-1"], "--stations"),
+        (["bound", "TINY", "--max-states", "0"], "--max-states"),
     ],
 )
-def test_bad_counts_are_a_clean_error(tmp_path, args, option):
+def test_bad_counts_are_a_clean_error(tmp_path, monkeypatch, args, option):
+    monkeypatch.setattr(bench, "sweep", _sweep_must_not_start)
     out = tmp_path / "out"
-    args = args + (["--out", str(out)] if args[0] == "sweep" else ["--out-dir", str(out)])
+    args = [_write_tiny(tmp_path) if a == "TINY" else a for a in args]
+    args += [OUT_OPTION[args[0]], str(out)]
     res = CliRunner().invoke(main, args)
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
     assert option in res.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["solve", "TINY", "--time-limit", "-1", "--restarts", "1"], "t_max"),
+        (["solve", "TINY", "--time-limit", "0"], "t_max"),
+        (["solve", "TINY", "--time-limit", "nan"], "t_max"),
+        (["sweep", "--mode", "battery", "--levels", "1000", "--budget", "-1"], "--budget"),
+        (["sweep", "--mode", "battery", "--levels", "1000", "--budget", "nan"], "--budget"),
+    ],
+)
+def test_nonpositive_budgets_are_a_clean_error(tmp_path, monkeypatch, args, option):
+    monkeypatch.setattr(bench, "sweep", _sweep_must_not_start)
+    args = [_write_tiny(tmp_path) if a == "TINY" else a for a in args]
+    if args[0] == "sweep":
+        args += ["--out", str(tmp_path / "s.csv")]
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert option in res.output
+    assert len(res.output.strip().splitlines()) == 1
+    assert not (tmp_path / "s.csv").exists()

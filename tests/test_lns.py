@@ -48,6 +48,16 @@ def test_params_validation():
     assert (p.p1, p.p2, p.p3_hat, p.p4_hat, p.granularity, p.i_max) == (11, 37, 12, 18, 25, 385)
 
 
+@pytest.mark.parametrize("t_max", [-1.0, 0.0, float("nan"), float("-inf")])
+def test_params_refuse_nonpositive_time_limit(t_max):
+    with pytest.raises(ValueError, match="t_max"):
+        LnsParams(t_max=t_max)
+    with pytest.raises(ValueError, match="t_max"):
+        LnsParams(t_max=t_max, max_restarts=1)  # a restart budget does not excuse it
+    assert LnsParams(t_max=1e-9).t_max == 1e-9
+    assert LnsParams(t_max=None, max_restarts=1).t_max is None
+
+
 # ---------------------------------------------------------------------------
 # destroy operators
 # ---------------------------------------------------------------------------

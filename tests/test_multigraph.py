@@ -8,15 +8,17 @@ import pytest
 from e2evrp.bench import MetroGenConfig, generate_metro_instance
 from e2evrp.model import SecondLevelRoute, evaluate_cost, Solution, FirstLevelRoute, CostBreakdown
 from e2evrp.model import parse_instance, write_instance
-from e2evrp.multigraph import (
-    MultiArc,
-    Multigraph,
-    build_multigraph,
-    expand_arc_route,
-    reduce_by_dominance,
-)
+from e2evrp.multigraph import Multigraph, build_multigraph, reduce_by_dominance
 
-from oracles import make_instance, multigraph_csv, random_instance, reduce_bundle, removable
+from oracles import (
+    expand_arc_route,
+    make_instance,
+    multigraph_csv,
+    random_instance,
+    reduce_bundle,
+    removable,
+    sort_key,
+)
 
 
 def _corner_instance(battery):
@@ -35,10 +37,9 @@ def test_direct_and_via_arcs_from_definition():
     g = build_multigraph(inst)
     bundle = g.arcs(1, 2)
     assert len(bundle) == 2
-    direct = next(a for a in bundle if a.station is None)
-    via = next(a for a in bundle if a.station == 3)
-    assert (direct.cost, direct.consumption) == (100, 100)
-    assert (via.cost, via.consumption, via.station_leg) == (71 + 71, 71, 71)
+    by_station = {station: (cost, cons, leg) for cost, cons, station, leg in bundle}
+    assert by_station[None][:2] == (100, 100)
+    assert by_station[3] == (71 + 71, 71, 71)
 
 
 def test_range_filter_empties_bundle():
@@ -81,15 +82,15 @@ def test_arc_invariants_hold():
         limit = inst.battery_limit
         g = build_multigraph(inst)
         for i, j in g.pairs():
-            for arc in g.arcs(i, j):
-                if arc.station is None:
-                    assert arc.cost == inst.distance(i, j)
-                    assert arc.consumption == inst.consumption(i, j) <= limit
+            for cost, consumption, station, station_leg in g.arcs(i, j):
+                if station is None:
+                    assert cost == inst.distance(i, j)
+                    assert consumption == inst.consumption(i, j) <= limit
                 else:
-                    k = arc.station
-                    assert arc.cost == inst.distance(i, k) + inst.distance(k, j)
-                    assert arc.consumption == inst.consumption(k, j) <= limit
-                    assert arc.station_leg == inst.consumption(i, k) <= limit
+                    k = station
+                    assert cost == inst.distance(i, k) + inst.distance(k, j)
+                    assert consumption == inst.consumption(k, j) <= limit
+                    assert station_leg == inst.consumption(i, k) <= limit
 
 
 def test_unconstrained_battery_builds_direct_only():
@@ -102,7 +103,7 @@ def test_unconstrained_battery_builds_direct_only():
         battery=None,
     )
     g = build_multigraph(inst)
-    assert all(a.station is None for i, j in g.pairs() for a in g.arcs(i, j))
+    assert all(station is None for i, j in g.pairs() for _, _, station, _ in g.arcs(i, j))
 
 
 # ---------------------------------------------------------------------------
@@ -120,26 +121,27 @@ def test_satellite_tail_componentwise_domination():
         battery=400,
     )
     g = reduce_by_dominance(build_multigraph(inst))
-    kept = {a.station for a in g.arcs(1, 2)}
+    kept = {station for _, _, station, _ in g.arcs(1, 2)}
     assert 4 not in kept  # strictly worse in both cost and consumption
     assert None in kept and 3 in kept
 
 
 def test_customer_tail_rule_needs_all_three_comparisons():
-    # synthetic arcs: equal (cost, consumption), different approach legs
-    r1 = MultiArc(9, 2, cost=100, consumption=40, station=5, station_leg=60)
-    r2 = MultiArc(9, 2, cost=100, consumption=40, station=6, station_leg=30)
+    # synthetic (cost, consumption, station, station_leg) rows: equal (cost,
+    # consumption), different approach legs
+    r1 = (100, 40, 5, 60)
+    r2 = (100, 40, 6, 30)
     assert removable(r1, r2, tail_is_satellite=False)  # all three hold for r2
     assert not removable(r2, r1, tail_is_satellite=False)
-    r3 = MultiArc(9, 2, cost=100, consumption=50, station=7, station_leg=20)
+    r3 = (100, 50, 7, 20)
     # r3 has higher consumption but lower approach: incomparable both ways
     assert not removable(r3, r2, tail_is_satellite=False)
     assert not removable(r2, r3, tail_is_satellite=False)
 
 
 def test_customer_tail_rule_never_touches_direct_arcs():
-    direct = MultiArc(9, 2, cost=100, consumption=100, station=None)
-    via = MultiArc(9, 2, cost=100, consumption=10, station=5, station_leg=10)
+    direct = (100, 100, None, 0)
+    via = (100, 10, 5, 10)
     assert not removable(direct, via, tail_is_satellite=False)
     assert not removable(via, direct, tail_is_satellite=False)
     # at a satellite tail the comparison is allowed
@@ -147,8 +149,8 @@ def test_customer_tail_rule_never_touches_direct_arcs():
 
 
 def test_full_tie_keeps_exactly_one():
-    a = MultiArc(1, 2, cost=80, consumption=30, station=5, station_leg=50)
-    b = MultiArc(1, 2, cost=80, consumption=30, station=6, station_leg=50)
+    a = (80, 30, 5, 50)
+    b = (80, 30, 6, 50)
     inst = make_instance(
         satellites=((1, (0, 0), None, 5),),
         customers=((2, (10, 0), 10),),
@@ -204,9 +206,8 @@ def _expandable_instance():
 def test_expand_direct_route_is_identity():
     inst = _expandable_instance()
     g = build_multigraph(inst)
-    arcs = [g.arcs(1, 2)[0], g.arcs(2, 3)[0], g.arcs(3, 1)[0]]
-    arcs = [a if a.station is None else next(x for x in g.arcs(a.tail, a.head) if x.station is None) for a in arcs]
-    route = expand_arc_route(inst, arcs)
+    legs = [(i, j, next(a for a in g.arcs(i, j) if a[2] is None)) for i, j in ((1, 2), (2, 3), (3, 1))]
+    route = expand_arc_route(inst, legs)
     assert route.visits == (2, 3)
     assert route.load == 25
 
@@ -214,11 +215,11 @@ def test_expand_direct_route_is_identity():
 def test_expand_via_arc_inserts_station_and_preserves_cost():
     inst = _expandable_instance()
     g = build_multigraph(inst)
-    via = next(a for a in g.arcs(2, 3) if a.station == 4)
-    direct_12 = next(a for a in g.arcs(1, 2) if a.station is None)
-    direct_31 = next(a for a in g.arcs(3, 1) if a.station is None)
-    arcs = [direct_12, via, direct_31]
-    route = expand_arc_route(inst, arcs)
+    via = next(a for a in g.arcs(2, 3) if a[2] == 4)
+    direct_12 = next(a for a in g.arcs(1, 2) if a[2] is None)
+    direct_31 = next(a for a in g.arcs(3, 1) if a[2] is None)
+    legs = [(1, 2, direct_12), (2, 3, via), (3, 1, direct_31)]
+    route = expand_arc_route(inst, legs)
     assert route.visits == (2, 4, 3)
     sol = Solution(
         (FirstLevelRoute(((1, 25),)),),
@@ -226,7 +227,7 @@ def test_expand_via_arc_inserts_station_and_preserves_cost():
         CostBreakdown(0, 0, 0, 0),
     )
     cost = evaluate_cost(inst, sol)
-    assert cost.level2_distance == sum(a.cost for a in arcs)
+    assert cost.level2_distance == sum(arc_cost for _, _, (arc_cost, _, _, _) in legs)
 
 
 def test_expansion_never_yields_adjacent_stations():
@@ -239,17 +240,17 @@ def test_expansion_never_yields_adjacent_stations():
         rng.shuffle(custs)
         custs = custs[: rng.randint(1, len(custs))]
         seq = [sat, *custs, sat]
-        arcs = []
+        legs = []
         ok = True
         for a, b in zip(seq, seq[1:]):
             bundle = g.arcs(a, b)
             if not bundle:
                 ok = False
                 break
-            arcs.append(rng.choice(bundle))
+            legs.append((a, b, rng.choice(bundle)))
         if not ok:
             continue
-        route = expand_arc_route(inst, arcs)
+        route = expand_arc_route(inst, legs)
         charging = set(inst.charging_ids)
         for u, v in zip(route.visits, route.visits[1:]):
             assert not (u in charging and v in charging)
@@ -259,7 +260,7 @@ def test_expand_rejects_broken_chain():
     inst = _expandable_instance()
     g = build_multigraph(inst)
     with pytest.raises(ValueError, match="chain"):
-        expand_arc_route(inst, [g.arcs(1, 2)[0], g.arcs(3, 1)[0]])
+        expand_arc_route(inst, [(1, 2, g.arcs(1, 2)[0]), (3, 1, g.arcs(3, 1)[0])])
     with pytest.raises(ValueError, match="empty"):
         expand_arc_route(inst, [])
 
@@ -277,7 +278,7 @@ def test_csv_dump_format():
 # ---------------------------------------------------------------------------
 
 
-def _synthetic_bundle(rng, tail, head):
+def _synthetic_bundle(rng):
     """Random bundle with at most one arc per station, as built graphs have.
 
     Small value ranges force full ties and equal (cost, consumption) with
@@ -290,11 +291,11 @@ def _synthetic_bundle(rng, tail, head):
     for st in stations:
         cost, cons = rng.randint(0, 5), rng.randint(0, 5)
         if st is None:
-            arcs.append(MultiArc(tail, head, cost, cons, None))
+            arcs.append((cost, cons, None, 0))
         else:
-            arcs.append(MultiArc(tail, head, cost, cons, st, station_leg=rng.randint(0, 5)))
+            arcs.append((cost, cons, st, rng.randint(0, 5)))
     if rng.random() < 0.5:
-        arcs.sort(key=MultiArc.sort_key)
+        arcs.sort(key=sort_key)
     else:
         rng.shuffle(arcs)
     return tuple(arcs)
@@ -308,17 +309,17 @@ def test_sweep_matches_pairwise_reference():
     for n in range(3000):
         tail_is_satellite = n % 2 == 0
         tail, head = (1, 2) if tail_is_satellite else (2, 1)
-        bundle = _synthetic_bundle(rng, tail, head)
+        bundle = _synthetic_bundle(rng)
         got = reduce_by_dominance(Multigraph(inst, {(tail, head): bundle})).arcs(tail, head)
         assert got == reduce_bundle(bundle, tail_is_satellite), (tail_is_satellite, bundle)
-        via = [a for a in bundle if a.station is not None]
+        via = [a for a in bundle if a[2] is not None]
         if tail_is_satellite:
-            fields = [(a.cost, a.consumption) for a in bundle]
+            fields = [(cost, cons) for cost, cons, _, _ in bundle]
         else:
-            fields = [(a.cost, a.consumption, a.station_leg) for a in via]
+            fields = [(cost, cons, leg) for cost, cons, _, leg in via]
         seen["full_tie"] += len(set(fields)) < len(fields)
         seen["leg_only_differs"] += any(
-            (a.cost, a.consumption) == (b.cost, b.consumption) and a.station_leg != b.station_leg
+            a[:2] == b[:2] and a[3] != b[3]
             for a in via
             for b in via
         )
@@ -354,8 +355,7 @@ def test_golden_metro_multigraph(customers, stations, built, kept, digest):
     red = reduce_by_dominance(g)
     assert (g.arc_count(), red.arc_count()) == (built, kept)
     rows = [
-        ((i, j), tuple((a.tail, a.head, a.cost, a.consumption, a.station, a.station_leg)
-                       for a in red.arcs(i, j)))
+        ((i, j), tuple((i, j, *row) for row in red.arcs(i, j)))
         for (i, j) in red.pairs()
     ]
     assert hashlib.sha1(repr(rows).encode()).hexdigest() == digest

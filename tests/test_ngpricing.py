@@ -3,7 +3,7 @@ import random
 import pytest
 
 from e2evrp import ngpricing
-from e2evrp.multigraph import MultiArc, build_multigraph, reduce_by_dominance
+from e2evrp.multigraph import build_multigraph, reduce_by_dominance
 from e2evrp.ngpricing import (
     NgRouteTable,
     NgSets,
@@ -26,13 +26,13 @@ def _graph(inst):
 
 
 def test_omega_direct_case():
-    arc = MultiArc(5, 6, cost=30, consumption=30, station=None)
+    arc = (30, 30, None, 0)  # (cost, consumption, station, station_leg)
     assert omega(50, arc, 100) == frozenset({20})
     assert omega(10, arc, 100) == frozenset()
 
 
 def test_omega_via_case_interval():
-    arc = MultiArc(5, 6, cost=70, consumption=40, station=9, station_leg=25)
+    arc = (70, 40, 9, 25)
     assert omega(40, arc, 100) == frozenset(range(76))
     assert omega(39, arc, 100) == frozenset()
 
@@ -43,16 +43,16 @@ def test_omega_cases_mutually_exclusive():
         limit = rng.randint(10, 120)
         w = rng.randint(0, limit)
         if rng.random() < 0.5:
-            arc = MultiArc(1, 2, 10, rng.randint(0, limit), None)
-            out = omega(w, arc, limit)
-            assert out == (frozenset({w - arc.consumption}) if arc.consumption <= w else frozenset())
+            consumption = rng.randint(0, limit)
+            out = omega(w, (10, consumption, None, 0), limit)
+            assert out == (frozenset({w - consumption}) if consumption <= w else frozenset())
         else:
-            arc = MultiArc(1, 2, 10, rng.randint(0, limit), 9, station_leg=rng.randint(0, limit))
-            out = omega(w, arc, limit)
-            if w != arc.consumption:
+            consumption, station_leg = rng.randint(0, limit), rng.randint(0, limit)
+            out = omega(w, (10, consumption, 9, station_leg), limit)
+            if w != consumption:
                 assert out == frozenset()
             else:
-                assert out == frozenset(range(limit - arc.station_leg + 1))
+                assert out == frozenset(range(limit - station_leg + 1))
 
 
 # ---------------------------------------------------------------------------
