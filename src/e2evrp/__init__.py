@@ -10,7 +10,7 @@ from .bench import (
     feasible_metro_seeds,
     fit_power_law,
     generate_metro_instance,
-    metro_set_configs,
+    metro_family,
     sweep,
     write_sweep_csv,
 )

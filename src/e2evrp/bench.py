@@ -20,6 +20,7 @@ import random
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from .lns import LnsParams, lns_run
@@ -36,6 +37,9 @@ from .model import (
 
 DENSITY_LEVELS = (2, 3, 5, 10, 15, 20, 25, 30, 40, 50)
 BATTERY_LEVELS = tuple(range(800, 1701, 100))
+FAMILY_LEVELS = {"density": DENSITY_LEVELS, "battery": BATTERY_LEVELS}
+VARIED_FIELD = {"density": "n_stations", "battery": "battery"}
+SEED_WINDOW = range(1, 10_001)  # instance seeds the structural screen may try
 
 SWEEP_CSV_HEADER = "level,instance_seed,run_seed,cost_L,cost_inf,detour_pct,station_visits"
 
@@ -82,6 +86,9 @@ class MetroGenConfig:
     def name(self) -> str:
         battery = "inf" if self.battery is None else self.battery
         return f"metro-r{self.n_stations}-L{battery}-s{self.seed}"
+
+
+STANDARD_METRO = MetroGenConfig(n_stations=20, battery=1000)
 
 
 def _semi_axes(e: EllipseSpec, semi: bool) -> tuple[float, float]:
@@ -162,49 +169,55 @@ def generate_metro_instance(cfg: MetroGenConfig) -> Instance:
     )
 
 
-def feasible_metro_seeds(
-    binding: MetroGenConfig, count: int, *, start: int = 1, search_limit: int = 10_000
-) -> list[int]:
-    """First ``count`` seeds whose instance passes the structural screen.
+class FamilyError(ValueError):
+    """An instance family that cannot be built: bad levels or too few servable seeds."""
+
+
+def feasible_metro_seeds(binding: MetroGenConfig, count: int) -> list[int]:
+    """First ``count`` seeds in ``SEED_WINDOW`` whose instance passes the structural screen.
 
     ``binding`` should be the tightest member of an instance family (fewest
     stations, smallest battery): adding stations or battery can only help, so
     a seed accepted there is servable at every other level, and all levels
     share one seed list, keeping everything but the varied feature identical.
     """
-    seeds: list[int] = []
-    s = start
-    while len(seeds) < count:
-        if s >= start + search_limit:
-            raise RuntimeError("could not find enough structurally feasible seeds")
-        inst = generate_metro_instance(replace(binding, seed=s))
-        if not unservable_customers(inst):
-            seeds.append(s)
-        s += 1
+    servable = (
+        s
+        for s in SEED_WINDOW
+        if not unservable_customers(generate_metro_instance(replace(binding, seed=s)))
+    )
+    seeds = list(islice(servable, count))
+    if len(seeds) < count:
+        raise FamilyError(
+            f"only {len(seeds)} seeds in {SEED_WINDOW.start}..{SEED_WINDOW.stop - 1} give a "
+            f"servable instance with {binding.n_stations} stations and battery "
+            f"{binding.battery}; {count} needed"
+        )
     return seeds
 
 
-def metro_set_configs(
-    which: int, instances_per_level: int = 20, *, screen_feasible: bool = True
+def metro_family(
+    mode: str,
+    levels: Sequence[int],
+    instances_per_level: int,
+    base: MetroGenConfig = STANDARD_METRO,
 ) -> list[MetroGenConfig]:
-    """The two benchmark families: station-density and battery-capacity sets.
+    """One instance family: ``mode`` picks the varied field, ``base`` gives the rest.
 
-    By default seeds are screened at the family's tightest configuration so
-    every member of the set is structurally servable.
+    ``"density"`` varies the station count, ``"battery"`` the battery
+    capacity.  Seeds are screened at ``min(levels)``, so every member of the
+    family is structurally servable and all levels share one seed list.
+    Configs come level-major, seed-minor.
     """
-    if which == 7:
-        binding = MetroGenConfig(n_stations=min(DENSITY_LEVELS), battery=1000)
-        levels = [MetroGenConfig(n_stations=n, battery=1000) for n in DENSITY_LEVELS]
-    elif which == 8:
-        binding = MetroGenConfig(n_stations=20, battery=min(BATTERY_LEVELS))
-        levels = [MetroGenConfig(n_stations=20, battery=b) for b in BATTERY_LEVELS]
-    else:
-        raise ValueError("set must be 7 or 8")
-    if screen_feasible:
-        seeds = feasible_metro_seeds(binding, instances_per_level)
-    else:
-        seeds = list(range(1, instances_per_level + 1))
-    return [replace(cfg, seed=s) for cfg in levels for s in seeds]
+    if mode not in VARIED_FIELD:
+        raise FamilyError("mode must be 'density' or 'battery'")
+    if not levels or len(set(levels)) < len(levels):
+        raise FamilyError(f"{mode} levels must be distinct and non-empty, got {list(levels)}")
+    if instances_per_level < 1:
+        raise FamilyError("instances_per_level must be >= 1")
+    field = VARIED_FIELD[mode]
+    seeds = feasible_metro_seeds(replace(base, **{field: min(levels)}), instances_per_level)
+    return [replace(base, **{field: level}, seed=s) for level in levels for s in seeds]
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +363,7 @@ class SweepRecord:
 
 
 def _sweep_job(args: tuple) -> SweepRunRecord:
-    cfg, run_seed, params = args
+    level, cfg, run_seed, params = args
     inst = generate_metro_instance(cfg)
     run_params = replace(params, seed=run_seed)
     sol_c, _ = lns_run(inst, run_params)
@@ -359,7 +372,7 @@ def _sweep_job(args: tuple) -> SweepRunRecord:
     cost_c, cost_u = sol_c.cost.total, sol_u.cost.total
     detour = 100.0 * (cost_c - cost_u) / cost_u if cost_u else 0.0
     return SweepRunRecord(
-        level=0,  # filled by the caller, which knows the varied dimension
+        level=level,
         instance_seed=cfg.seed,
         run_seed=run_seed,
         cost_constrained=cost_c,
@@ -377,43 +390,27 @@ def sweep(
     runs_per_instance: int = 3,
     params: Optional[LnsParams] = None,
     workers: int = 1,
-    density_battery: int = 1000,
-    battery_stations: int = 20,
-    base_config: Optional[MetroGenConfig] = None,
+    base_config: MetroGenConfig = STANDARD_METRO,
 ) -> list[SweepRecord]:
     """Solve paired (constrained, unconstrained) runs over a parameter grid.
 
-    ``mode`` is ``"density"`` (values = station counts, fixed battery) or
-    ``"battery"`` (values = battery capacities, fixed station count).  Every
-    run uses ``params`` with its own seed, so the budget is ``params.t_max``
-    and/or ``params.max_restarts`` (default: 60 s).  The desk-scale defaults
-    keep a full sweep tractable; the full benchmark scale is 20 instances per
-    level with budgets up to 900 s.
+    The instances are ``metro_family(mode, values, instances_per_level,
+    base_config)``: ``"density"`` varies the station count, ``"battery"`` the
+    battery capacity, and every other field comes from ``base_config``
+    (default: 20 stations, battery 1000).  Every run uses ``params`` with its
+    own seed, so the budget is ``params.t_max`` and/or ``params.max_restarts``
+    (default: 60 s).  The desk-scale defaults keep a full sweep tractable;
+    the full benchmark scale is 20 instances per level with budgets up to
+    900 s.
     """
-    if mode not in ("density", "battery"):
-        raise ValueError("mode must be 'density' or 'battery'")
+    if runs_per_instance < 1:
+        raise ValueError("runs_per_instance must be >= 1")
     params = params or LnsParams(t_max=60.0)
-    proto = base_config or MetroGenConfig(n_stations=battery_stations, battery=density_battery)
-
-    # screen instance seeds at the sweep's tightest level so that every level
-    # shares one seed list of structurally servable instances
-    if mode == "density":
-        binding = replace(proto, n_stations=min(values), battery=density_battery)
-    else:
-        binding = replace(proto, n_stations=battery_stations, battery=min(values))
-    seeds = feasible_metro_seeds(binding, instances_per_level)
-
-    jobs = []
-    keys = []
-    for level in values:
-        for iseed in seeds:
-            if mode == "density":
-                cfg = replace(proto, n_stations=level, battery=density_battery, seed=iseed)
-            else:
-                cfg = replace(proto, n_stations=battery_stations, battery=level, seed=iseed)
-            for rseed in range(1, runs_per_instance + 1):
-                jobs.append((cfg, rseed, params))
-                keys.append(level)
+    jobs = [
+        (getattr(cfg, VARIED_FIELD[mode]), cfg, rseed, params)
+        for cfg in metro_family(mode, values, instances_per_level, base_config)
+        for rseed in range(1, runs_per_instance + 1)
+    ]
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -422,30 +419,24 @@ def sweep(
         raw = [_sweep_job(j) for j in jobs]
 
     by_level: dict[int, list[SweepRunRecord]] = {v: [] for v in values}
-    for level, rec in zip(keys, raw):
-        rec = replace(rec, level=level)
+    for rec in raw:
         if rec.detour_pct < 0:
             warnings.warn(
-                f"negative detour {rec.detour_pct:.3f}% at level {level} "
+                f"negative detour {rec.detour_pct:.3f}% at level {rec.level} "
                 f"(instance seed {rec.instance_seed}, run seed {rec.run_seed}): "
-                "solver noise",
+                "the unconstrained run ended at a worse local optimum",
                 stacklevel=2,
             )
-        by_level[level].append(rec)
-
-    out = []
-    for level in values:
-        runs = tuple(by_level[level])
-        n = len(runs) or 1
-        out.append(
-            SweepRecord(
-                level=level,
-                runs=runs,
-                mean_detour_pct=sum(r.detour_pct for r in runs) / n,
-                mean_station_visits=sum(r.station_visits for r in runs) / n,
-            )
+        by_level[rec.level].append(rec)
+    return [
+        SweepRecord(
+            level=level,
+            runs=tuple(runs),
+            mean_detour_pct=sum(r.detour_pct for r in runs) / len(runs),
+            mean_station_visits=sum(r.station_visits for r in runs) / len(runs),
         )
-    return out
+        for level, runs in by_level.items()
+    ]
 
 
 def write_sweep_csv(records: Iterable[SweepRecord], path: str) -> None:

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from . import bench
 from .lns import ConstructionError, LnsParams, lns_run
@@ -25,6 +26,8 @@ from .multigraph import build_multigraph, reduce_by_dominance
 from .ngpricing import NgSets, NgStateSpaceExceeded, bound_report
 
 SOLVE_CSV_HEADER = "instance,avg,best,t_star_avg,runs"
+SET_MODE = {"7": "density", "8": "battery"}
+VARIED_OPTION = {"density": "stations", "battery": "battery"}
 
 
 def _fail(message: str, as_json: bool, code: int = 2) -> None:
@@ -33,6 +36,13 @@ def _fail(message: str, as_json: bool, code: int = 2) -> None:
     else:
         click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+def _refuse_varied_option(mode: str, family: str) -> None:
+    """Exit 2 if the option that ``mode`` varies was given: its levels say what it is."""
+    name = VARIED_OPTION[mode]
+    if click.get_current_context().get_parameter_source(name) is not ParameterSource.DEFAULT:
+        _fail(f"--{name} is what a {family} varies; drop it", False)
 
 
 def _load_instance(path: str, as_json: bool):
@@ -132,7 +142,7 @@ def solve(instance_path, time_limit, restarts, seed, runs, params_kv, json_out, 
 
 
 @main.command()
-@click.option("--set", "which", type=click.Choice(["7", "8"]), default=None, help="Generate a full benchmark-style set.")
+@click.option("--set", "which", type=click.Choice(["7", "8"]), default=None, help="Generate a full benchmark-style set: 7 varies --stations, 8 varies --battery.")
 @click.option("--out-dir", type=click.Path(), default="instances", show_default=True)
 @click.option("--instances", type=click.IntRange(min=1), default=20, show_default=True, help="Instances per level when generating a set.")
 @click.option("--stations", type=click.IntRange(min=0), default=20, show_default=True)
@@ -142,18 +152,6 @@ def solve(instance_path, time_limit, restarts, seed, runs, params_kv, json_out, 
 @click.option("--full-axis", is_flag=True, help="Read ellipse extents as full axis lengths (quarter-area variant).")
 def generate(which, out_dir, instances, stations, battery, seed, out, full_axis):
     """Generate metropolitan instances (one, or a full set with --set)."""
-    if which is not None:
-        outp = Path(out_dir)
-        outp.mkdir(parents=True, exist_ok=True)
-        count = 0
-        for cfg in bench.metro_set_configs(int(which), instances_per_level=instances):
-            if full_axis:
-                cfg = dataclasses.replace(cfg, extent_is_semi_axis=False)
-            inst = bench.generate_metro_instance(cfg)
-            (outp / f"{inst.name}.txt").write_text(write_instance(inst), encoding="utf-8")
-            count += 1
-        click.echo(f"wrote {count} instances to {outp}")
-        return
     try:
         cap = None if battery.lower() == "inf" else int(battery)
         if cap is not None and cap < 1:
@@ -163,6 +161,20 @@ def generate(which, out_dir, instances, stations, battery, seed, out, full_axis)
     cfg = bench.MetroGenConfig(
         n_stations=stations, battery=cap, seed=seed, extent_is_semi_axis=not full_axis
     )
+    if which is not None:
+        mode = SET_MODE[which]
+        _refuse_varied_option(mode, f"set {which}")
+        try:
+            configs = bench.metro_family(mode, bench.FAMILY_LEVELS[mode], instances, cfg)
+        except bench.FamilyError as exc:
+            _fail(f"set {which}: {exc}", False)
+        outp = Path(out_dir)
+        outp.mkdir(parents=True, exist_ok=True)
+        for member in configs:
+            inst = bench.generate_metro_instance(member)
+            (outp / f"{inst.name}.txt").write_text(write_instance(inst), encoding="utf-8")
+        click.echo(f"wrote {len(configs)} instances to {outp}")
+        return
     text = write_instance(bench.generate_metro_instance(cfg))
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -219,7 +231,7 @@ def check(instance_path, solution_path, as_json):
 
 @main.command()
 @click.option("--mode", type=click.Choice(["density", "battery"]), required=True)
-@click.option("--levels", required=True, help="Comma-separated level values, e.g. 2,5,10,15,25,50.")
+@click.option("--levels", default=None, help="Comma-separated level values, e.g. 2,5,10,15,25,50 [default: the mode's full family].")
 @click.option("--instances", type=click.IntRange(min=1), default=10, show_default=True)
 @click.option("--runs", type=click.IntRange(min=1), default=3, show_default=True)
 @click.option("--budget", type=float, default=60.0, show_default=True, help="Seconds per solver run.")
@@ -229,6 +241,9 @@ def check(instance_path, solution_path, as_json):
 @click.option("--out", type=click.Path(), required=True, help="CSV output path.")
 def sweep(mode, levels, instances, runs, budget, workers, battery, stations, out):
     """Paired battery-constrained / unconstrained sweep; writes a CSV."""
+    _refuse_varied_option(mode, f"{mode} sweep")
+    if levels is None:
+        levels = ",".join(map(str, bench.FAMILY_LEVELS[mode]))
     try:
         values = [int(v) for v in levels.split(",") if v.strip()]
     except ValueError:
@@ -242,29 +257,32 @@ def sweep(mode, levels, instances, runs, budget, workers, battery, stations, out
         params = LnsParams(t_max=budget)
     except ValueError as exc:
         _fail(f"bad --budget {budget!r}: {exc}", False)
-    records = bench.sweep(
-        values,
-        mode,
-        instances_per_level=instances,
-        runs_per_instance=runs,
-        params=params,
-        workers=workers,
-        density_battery=battery,
-        battery_stations=stations,
-    )
+    try:
+        records = bench.sweep(
+            values,
+            mode,
+            instances_per_level=instances,
+            runs_per_instance=runs,
+            params=params,
+            workers=workers,
+            base_config=bench.MetroGenConfig(n_stations=stations, battery=battery),
+        )
+    except bench.FamilyError as exc:  # repeated levels, or too few servable seeds
+        _fail(f"bad --levels {levels!r}: {exc}", False)
     bench.write_sweep_csv(records, out)
     for rec in records:
         click.echo(
             f"level {rec.level}: mean detour {rec.mean_detour_pct:.2f}% "
             f"mean station visits {rec.mean_station_visits:.2f}"
         )
-    try:
-        fit_points = [(r.level, r.mean_detour_pct) for r in records]
-        alpha, beta, _ = bench.fit_power_law(fit_points)
-        if mode == "density":
+    if mode == "density":
+        try:
+            alpha, beta, _ = bench.fit_power_law([(r.level, r.mean_detour_pct) for r in records])
+        except ValueError as exc:
+            click.echo(f"power-law fit skipped: {exc}")
+        else:
             click.echo(f"power-law fit: alpha {alpha:.3f} beta {beta:.3f}")
-    except ValueError:
-        pass
+            click.echo(f"doubling the station count cuts detours by {100 * (1 - 2**-beta):.0f}%")
     click.echo(f"wrote {out}")
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import warnings
@@ -5,6 +6,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from e2evrp import bench
 from e2evrp.bench import (
     BATTERY_LEVELS,
     DENSITY_LEVELS,
@@ -15,7 +17,7 @@ from e2evrp.bench import (
     augment_2evrp_instance,
     fit_power_law,
     generate_metro_instance,
-    metro_set_configs,
+    metro_family,
     sweep,
     write_sweep_csv,
 )
@@ -93,7 +95,7 @@ def test_axis_interpretation_switch_shrinks_regions():
 
 
 def test_set_configs():
-    s7 = metro_set_configs(7, instances_per_level=5)
+    s7 = metro_family("density", DENSITY_LEVELS, 5)
     assert len(s7) == 50
     assert sorted({c.n_stations for c in s7}) == sorted(DENSITY_LEVELS)
     assert {c.battery for c in s7} == {1000}
@@ -101,12 +103,17 @@ def test_set_configs():
     for c in s7:
         seeds_per_level[c.n_stations].append(c.seed)
     assert len({tuple(v) for v in seeds_per_level.values()}) == 1  # shared seed list
-    s8 = metro_set_configs(8, instances_per_level=3)
+    s8 = metro_family("battery", BATTERY_LEVELS, 3)
     assert len(s8) == 30
     assert sorted({c.battery for c in s8}) == sorted(BATTERY_LEVELS)
     assert {c.n_stations for c in s8} == {20}
     with pytest.raises(ValueError):
-        metro_set_configs(6)
+        metro_family("speed", DENSITY_LEVELS, 3)
+    # the exact names (levels, screened seeds, order) of the two benchmark sets
+    def digest(configs):
+        return hashlib.sha1("\n".join(c.name for c in configs).encode()).hexdigest()
+    assert digest(metro_family("density", DENSITY_LEVELS, 3)) == "e89481bab9db314646eea116ed28da23bebc3c15"
+    assert digest(s8) == "93bac2c5020ef4d820da895cef33764411b0d7e7"
 
 
 def test_feasible_seed_screening():
@@ -266,7 +273,6 @@ def test_sweep_smoke_and_csv(tmp_path):
         instances_per_level=1,
         runs_per_instance=1,
         params=_tiny_params(),
-        density_battery=400,
         base_config=_tiny_cfg(),
     )
     assert [r.level for r in records] == [1, 3]
@@ -286,7 +292,6 @@ def test_sweep_battery_mode_and_worker_determinism(tmp_path):
         instances_per_level=1,
         runs_per_instance=2,
         params=_tiny_params(),
-        battery_stations=2,
         base_config=_tiny_cfg(),
     )
     seq = sweep([300, 500], "battery", workers=1, **kwargs)
@@ -307,6 +312,22 @@ def test_unconstrained_run_never_visits_stations():
     assert 100.0 * (sol.cost.total - sol.cost.total) / sol.cost.total == 0.0
 
 
-def test_sweep_rejects_bad_mode():
+def test_sweep_rejects_bad_mode(monkeypatch):
     with pytest.raises(ValueError):
         sweep([1], "speed", instances_per_level=1, runs_per_instance=1, params=_tiny_params())
+    # repeated levels, zero counts and an unservable tightest level are
+    # refused before any solver run starts
+    monkeypatch.setattr(bench, "_sweep_job", _no_solver_run)
+    monkeypatch.setattr(bench, "SEED_WINDOW", range(1, 4))
+    for values, mode, instances, runs, message in [
+        ([5, 5], "density", 2, 1, "distinct"),
+        ([5], "density", 0, 1, "instances_per_level"),
+        ([5], "density", 1, 0, "runs_per_instance"),
+        ([100], "battery", 1, 1, "battery 100"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            sweep(values, mode, instances_per_level=instances, runs_per_instance=runs)
+
+
+def _no_solver_run(args):
+    raise AssertionError("a sweep job started")

@@ -5,7 +5,7 @@ from click.testing import CliRunner
 
 from e2evrp import bench
 from e2evrp.cli import main
-from e2evrp.model import parse_instance, parse_solution
+from e2evrp.model import parse_instance, parse_solution, unservable_customers
 
 TINY = """\
 NAME tiny
@@ -52,6 +52,28 @@ def test_generate_set_writes_files(tmp_path):
     files = sorted((tmp_path / "s8").glob("*.txt"))
     assert len(files) == 10  # one instance per battery level
     parse_instance(files[0].read_text())
+
+
+def test_generate_set_honours_the_fixed_option(tmp_path):
+    res = CliRunner().invoke(
+        main, ["generate", "--set", "8", "--out-dir", str(tmp_path / "s8"), "--instances", "1", "--stations", "3"]
+    )
+    assert res.exit_code == 0, res.output
+    files = sorted((tmp_path / "s8").glob("*.txt"))
+    assert len(files) == 10 and all(f.name.startswith("metro-r3-") for f in files)
+    assert len(parse_instance(files[0].read_text()).stations) == 3
+    # set 7 with the quarter-area layout: seeds are screened on what is written
+    res = CliRunner().invoke(
+        main,
+        ["generate", "--set", "7", "--out-dir", str(tmp_path / "s7"), "--instances", "2",
+         "--battery", "900", "--full-axis"],
+    )
+    assert res.exit_code == 0, res.output
+    files = sorted((tmp_path / "s7").glob("*.txt"))
+    assert len(files) == 20
+    for f in files:
+        inst = parse_instance(f.read_text())
+        assert inst.battery_capacity == 900 and unservable_customers(inst) == []
 
 
 def test_solve_runs_and_reports(tmp_path):
@@ -120,6 +142,33 @@ def test_sweep_cli_writes_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "level,instance_seed,run_seed,cost_L,cost_inf,detour_pct,station_visits"
     assert len(lines) == 3
+
+
+def _power_law_sweep(calls):
+    def fake_sweep(values, mode, **kwargs):
+        calls.append((list(values), mode))
+        return [bench.SweepRecord(v, (), 10 / v**1.25 if v else 0.0, 0.0) for v in values]
+    return fake_sweep
+
+
+def test_sweep_fit_and_full_family(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench, "sweep", _power_law_sweep(calls))
+    out = str(tmp_path / "s.csv")
+    res = CliRunner().invoke(main, ["sweep", "--mode", "density", "--levels", "2,5,10", "--out", out])
+    assert res.exit_code == 0, res.output
+    assert "beta 1.250" in res.output
+    assert "doubling the station count cuts detours by 58%" in res.output
+    # omitted levels run the mode's full family; battery sweeps fit nothing
+    res = CliRunner().invoke(main, ["sweep", "--mode", "battery", "--out", out])
+    assert res.exit_code == 0, res.output
+    assert calls[-1] == (list(bench.BATTERY_LEVELS), "battery")
+    assert "power-law" not in res.output
+    # one positive mean is not enough for a fit, and the output says so
+    res = CliRunner().invoke(main, ["sweep", "--mode", "density", "--levels", "0,5", "--out", out])
+    assert res.exit_code == 0, res.output
+    assert calls[-1] == ([0, 5], "density")
+    assert "power-law fit skipped" in res.output
 
 
 def test_bound_cli(tmp_path):
@@ -207,7 +256,7 @@ def test_sweep_empty_levels_is_a_clean_error(tmp_path):
 
 
 def _sweep_must_not_start(*args, **kwargs):
-    raise AssertionError("bench.sweep was called")
+    raise AssertionError("a sweep or a sweep job was started")
 
 
 OUT_OPTION = {"sweep": "--out", "generate": "--out-dir", "bound": "--json-out"}
@@ -228,10 +277,19 @@ OUT_OPTION = {"sweep": "--out", "generate": "--out-dir", "bound": "--json-out"}
         (["sweep", "--mode", "density", "--levels", "5", "--battery", "0"], "--battery"),
         (["sweep", "--mode", "battery", "--levels", "1000", "--stations", "-1"], "--stations"),
         (["bound", "TINY", "--max-states", "0"], "--max-states"),
+        (["sweep", "--mode", "density", "--levels", "5,5"], "--levels"),
+        (["sweep", "--mode", "battery", "--levels", "100"], "battery 100"),
+        (["sweep", "--mode", "density", "--levels", "5", "--stations", "10"], "--stations"),
+        (["generate", "--set", "7", "--stations", "3"], "--stations"),
+        (["generate", "--set", "8", "--battery", "900"], "--battery"),
+        (["generate", "--set", "7", "--battery", "0"], "--battery"),
+        (["generate", "--set", "8", "--stations", "0"], "0 stations"),
     ],
 )
 def test_bad_counts_are_a_clean_error(tmp_path, monkeypatch, args, option):
-    monkeypatch.setattr(bench, "sweep", _sweep_must_not_start)
+    monkeypatch.setattr(bench, "_sweep_job", _sweep_must_not_start)
+    # a short seed window makes the unservable cases fail fast
+    monkeypatch.setattr(bench, "SEED_WINDOW", range(1, 4), raising=False)
     out = tmp_path / "out"
     args = [_write_tiny(tmp_path) if a == "TINY" else a for a in args]
     args += [OUT_OPTION[args[0]], str(out)]
