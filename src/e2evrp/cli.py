@@ -28,6 +28,11 @@ from .ngpricing import NgSets, NgStateSpaceExceeded, bound_report
 SOLVE_CSV_HEADER = "instance,avg,best,t_star_avg,runs"
 SET_MODE = {"7": "density", "8": "battery"}
 VARIED_OPTION = {"density": "stations", "battery": "battery"}
+# generate options that one of its two forms would ignore, and why
+IGNORED_BY_FORM = {
+    "with": {"seed": "a set screens its own seeds", "out": "a set writes to --out-dir"},
+    "without": {"instances": "it writes one instance", "out_dir": "one instance goes to --out or stdout"},
+}
 
 
 def _fail(message: str, as_json: bool, code: int = 2) -> None:
@@ -38,10 +43,15 @@ def _fail(message: str, as_json: bool, code: int = 2) -> None:
     sys.exit(code)
 
 
+def _given(name: str) -> bool:
+    """Whether the current command's option ``name`` was set, not left at its default."""
+    return click.get_current_context().get_parameter_source(name) is not ParameterSource.DEFAULT
+
+
 def _refuse_varied_option(mode: str, family: str) -> None:
     """Exit 2 if the option that ``mode`` varies was given: its levels say what it is."""
     name = VARIED_OPTION[mode]
-    if click.get_current_context().get_parameter_source(name) is not ParameterSource.DEFAULT:
+    if _given(name):
         _fail(f"--{name} is what a {family} varies; drop it", False)
 
 
@@ -158,6 +168,10 @@ def generate(which, out_dir, instances, stations, battery, seed, out, full_axis)
             raise ValueError(battery)
     except ValueError:
         _fail(f"bad --battery {battery!r}, expected a positive integer or 'inf'", False)
+    form = "without" if which is None else "with"
+    for name, reason in IGNORED_BY_FORM[form].items():
+        if _given(name):
+            _fail(f"--{name.replace('_', '-')} does not apply {form} --set: {reason}", False)
     cfg = bench.MetroGenConfig(
         n_stations=stations, battery=cap, seed=seed, extent_is_semi_axis=not full_axis
     )

@@ -3,10 +3,28 @@
 An ng-path may revisit a customer once it has left the path's bounded memory,
 so its least cost per (load, last customer) never exceeds the cost of any
 elementary route with the same signature; with full memory the relaxation
-collapses to elementary optima.  States carry (memory set, load, consumption,
-vertex); consumption is label-managed with (cost, consumption) dominance per
-(memory, load, vertex), and loads strictly increase along transitions, which
-gives the processing order.
+collapses to elementary optima.  A label is (consumption, cost) stored under
+the key (vertex, load, memory mask).
+
+Dominance (Baldacci, Mingozzi & Roberti 2011, Operations Research 59(5)): a
+label dominates another at the same vertex and load when its memory is a
+subset of the other's and its consumption and cost are no higher.  Labels
+under an identical key are compared as they are stored; across keys, one pass
+at the start of each load bucket, before any label of that load is extended,
+drops every label that a label with a proper-subset memory dominates.  The
+pass is exact and loses nothing:
+
+* every demand is >= 1, so each transition strictly raises the load, and every
+  label of load q exists before bucket q is swept (this is also the processing
+  order);
+* any extension open to the dominated label is open to the dominating one at
+  no more cost or consumption, its next memory ``(m & N(j)) | {j}`` stays a
+  subset, and the closing arc back to the satellite keeps the order too.
+
+So the tables are those of the identical-key recursion; only the label count
+falls.  ``NgRouteTable.label_count`` counts the labels stored at the end;
+``max_states`` caps the live labels, which can exceed that final count just
+before a bucket is pruned.
 
 The derived :func:`ng_lower_bound` assembles a simple combinatorial bound on
 the full two-echelon problem from the pricing tables (per-unit route cost
@@ -76,7 +94,7 @@ def price_ng_routes(
     """Run the pricing recursion from one satellite.
 
     Raises :class:`NgStateSpaceExceeded` instead of silently truncating when
-    the number of stored labels passes ``max_states``.
+    the number of live labels passes ``max_states``.
     """
     custs = inst.customer_ids
     if satellite not in inst.satellite_by_id:
@@ -130,6 +148,7 @@ def price_ng_routes(
         keys = buckets.get(q)
         if not keys:
             continue
+        count -= _drop_subset_dominated(labels, keys)
         for key in sorted(keys):
             i, _q, mask = key
             labs = labels[key]
@@ -175,6 +194,55 @@ def price_ng_routes(
         if entry is not None:
             table[(q, i)] = entry
     return NgRouteTable(satellite, table, count)
+
+
+def _drop_subset_dominated(
+    labels: dict[tuple[int, int, int], list[tuple[int, int]]],
+    keys: set[tuple[int, int, int]],
+) -> int:
+    """Drop the labels of one load bucket that a label at the same vertex with
+    a subset memory dominates; return how many were dropped.
+
+    Keys left without labels leave both ``labels`` and ``keys``.
+    """
+    by_vertex: dict[int, list[tuple[int, tuple[int, int, int]]]] = {}
+    for key in keys:
+        by_vertex.setdefault(key[0], []).append((key[2].bit_count(), key))
+    dropped = 0
+    emptied = []
+    for ranked in by_vertex.values():
+        # a proper subset has fewer members, so only masks of an earlier size
+        # can dominate; first is where the current size starts
+        ranked.sort()
+        first = 0
+        for b in range(1, len(ranked)):
+            size, kb = ranked[b]
+            if size != ranked[b - 1][0]:
+                first = b
+            mb = kb[2]
+            doms = [
+                lab
+                for _, ka in ranked[:first]
+                if not ka[2] & ~mb
+                for lab in labels[ka]
+            ]
+            if not doms:
+                continue
+            labs = labels[kb]
+            keep = [
+                (w, cost)
+                for w, cost in labs
+                if not any(dw <= w and dc <= cost for dw, dc in doms)
+            ]
+            if len(keep) < len(labs):
+                dropped += len(labs) - len(keep)
+                labs[:] = keep
+                if not keep:
+                    emptied.append(kb)
+    for kb in emptied:
+        del labels[kb]
+        keys.discard(kb)
+    return dropped
 
 
 def ng_lower_bound(

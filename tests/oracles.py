@@ -2,17 +2,30 @@
 
 Nothing here may call into the solver paths under test: charging results come
 from exhaustive enumeration over per-leg station choices (with sound
-branch-and-bound pruning only), and elementary route optima from exhaustive
-sequence enumeration on top of that.
+branch-and-bound pruning only), elementary route optima from exhaustive
+sequence enumeration on top of that, and ng-route tables from the pricing
+recursion without its subset-memory dominance.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
+from math import ceil
 from typing import Optional, Sequence
 
-from e2evrp.model import Customer, Instance, Satellite, SecondLevelRoute, Station
+from e2evrp.bench import MetroGenConfig, generate_metro_instance
+from e2evrp.model import (
+    Customer,
+    Instance,
+    Satellite,
+    SecondLevelRoute,
+    Station,
+    parse_instance,
+    write_instance,
+)
 from e2evrp.multigraph import Arc, Multigraph
+from e2evrp.ngpricing import NgRouteTable, NgSets, NgStateSpaceExceeded
 
 
 def make_instance(
@@ -98,6 +111,22 @@ def random_instance(
         f1=f1,
         f2=f2,
     )
+
+
+def metro_instance(customers: int, stations: int) -> Instance:
+    """The perfbench metro workload instance: battery 1000, instance seed 1,
+    read back from its text as the benchmark reads it."""
+    inner = customers * 4 // 5
+    cfg = MetroGenConfig(
+        n_stations=stations,
+        battery=1000,
+        seed=1,
+        n_customers_inner=inner,
+        n_customers_outer=customers - inner,
+    )
+    demand = generate_metro_instance(cfg).total_demand
+    cfg = replace(cfg, m1_fleet=ceil(demand / cfg.q1_capacity) + cfg.n_satellites - 1)
+    return parse_instance(write_instance(generate_metro_instance(cfg)))
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +290,120 @@ def elementary_route_optima(
 
     extend([], 0)
     return best
+
+
+# ---------------------------------------------------------------------------
+# ng-pricing reference
+# ---------------------------------------------------------------------------
+
+
+def price_ng_routes_reference(
+    inst: Instance,
+    graph: Multigraph,
+    satellite: int,
+    ng: NgSets,
+    *,
+    max_states: int = 2_000_000,
+) -> NgRouteTable:
+    """``price_ng_routes`` without subset-memory dominance: labels are compared
+    only under an identical key (vertex, load, memory mask)."""
+    custs = inst.customer_ids
+    if satellite not in inst.satellite_by_id:
+        raise ValueError(f"unknown satellite {satellite}")
+    bit = {c: 1 << k for k, c in enumerate(custs)}
+    nmask = {c: sum(bit[j] for j in ng.neighbors[c]) for c in custs}
+    demand = inst.demand
+    q2 = inst.q2_capacity
+    limit = inst.battery_limit
+
+    bundles = graph.bundles
+
+    # labels[(vertex, load, memory mask)] -> nondominated [(w, cost)]
+    labels: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
+    buckets: dict[int, set[tuple[int, int, int]]] = {}
+    count = 0
+
+    def push(key: tuple[int, int, int], w: int, cost: int) -> None:
+        nonlocal count
+        labs = labels.get(key)
+        if labs is None:
+            labels[key] = [(w, cost)]
+            buckets.setdefault(key[1], set()).add(key)
+            count += 1
+            if count > max_states:
+                raise NgStateSpaceExceeded(f"more than {max_states} labels")
+            return
+        keep = []
+        for lw, lc in labs:
+            if lw <= w and lc <= cost:
+                return
+            if not (w <= lw and cost <= lc):
+                keep.append((lw, lc))
+        keep.append((w, cost))
+        count += len(keep) - len(labs)
+        if count > max_states:
+            raise NgStateSpaceExceeded(f"more than {max_states} labels")
+        labs[:] = keep
+
+    for c in custs:
+        if demand[c] > q2:
+            continue
+        for arc_cost, arc_cons, _, _ in graph.arcs(satellite, c):
+            # leaving the satellite fully charged, arrival consumption is the
+            # arc's own consumption for both arc kinds
+            push((c, demand[c], bit[c]), arc_cons, arc_cost)
+
+    # transitions strictly increase the load, so sweeping loads upward visits
+    # every reachable state after all its predecessors
+    for q in range(1, q2 + 1):
+        keys = buckets.get(q)
+        if not keys:
+            continue
+        for key in sorted(keys):
+            i, _q, mask = key
+            labs = labels[key]
+            for j in custs:
+                if mask & bit[j]:
+                    continue  # memory forbids an immediate revisit
+                qn = q + demand[j]
+                if qn > q2:
+                    continue
+                opts = bundles.get((i, j))
+                if not opts:
+                    continue
+                nkey = (j, qn, (mask & nmask[j]) | bit[j])
+                for arc_cost, arc_cons, station, station_leg in opts:
+                    if station is None:
+                        for w, cost in labs:
+                            w2 = w + arc_cons
+                            if limit is not None and w2 > limit:
+                                continue
+                            push(nkey, w2, cost + arc_cost)
+                    else:
+                        best = None
+                        for w, cost in labs:
+                            if w + station_leg <= limit and (
+                                best is None or cost < best
+                            ):
+                                best = cost
+                        if best is not None:
+                            push(nkey, arc_cons, best + arc_cost)
+
+    table: dict[tuple[int, int], int] = {}
+    for (i, q, _mask), labs in labels.items():
+        entry = table.get((q, i), None)
+        for arc_cost, arc_cons, station, station_leg in bundles.get((i, satellite), ()):
+            for w, cost in labs:
+                if limit is not None:
+                    need = w + (arc_cons if station is None else station_leg)
+                    if need > limit:
+                        continue
+                total = cost + arc_cost
+                if entry is None or total < entry:
+                    entry = total
+        if entry is not None:
+            table[(q, i)] = entry
+    return NgRouteTable(satellite, table, count)
 
 
 # ---------------------------------------------------------------------------

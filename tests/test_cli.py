@@ -301,6 +301,26 @@ def test_bad_counts_are_a_clean_error(tmp_path, monkeypatch, args, option):
 
 
 @pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--set", "8", "--instances", "1", "--seed", "5"], "--seed does not apply with --set"),
+        (["--set", "7", "--out", "one.txt"], "--out does not apply with --set"),
+        (["--instances", "2", "--out", "one.txt"], "--instances does not apply without --set"),
+        (["--out-dir", "sets"], "--out-dir does not apply without --set"),
+        (["--seed", "5", "--out-dir", "sets"], "--out-dir does not apply without --set"),
+    ],
+)
+def test_generate_refuses_options_of_the_other_form(tmp_path, monkeypatch, args, message):
+    monkeypatch.chdir(tmp_path)
+    res = CliRunner().invoke(main, ["generate", *args])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.startswith(f"error: {message}: ")
+    assert len(res.output.strip().splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "args, option",
     [
         (["solve", "TINY", "--time-limit", "-1", "--restarts", "1"], "t_max"),

@@ -17,8 +17,7 @@ from e2evrp.lns import (
 from e2evrp.model import check_feasibility, write_solution
 from e2evrp.search import SolverContext, WorkingRoute, WorkingSolution, build_first_level
 
-from oracles import make_instance, random_instance
-from test_multigraph import _metro_instance
+from oracles import make_instance, metro_instance, random_instance
 
 
 def _ctx(inst, gamma=25):
@@ -372,7 +371,7 @@ def test_time_budget_respected():
 def test_golden_metro_solves(customers, stations, seed, i_max, fields, digest):
     """The benchmark's metro solves (instance seed 1, one restart) are pinned:
     a change to the search that should keep its path must keep these."""
-    inst = _metro_instance(customers, stations)
+    inst = metro_instance(customers, stations)
     sol, stats = lns_run(inst, LnsParams(t_max=None, max_restarts=1, i_max=i_max, seed=seed))
     assert stats.deterministic_fields() == fields
     assert hashlib.sha1(write_solution(sol).encode()).hexdigest() == digest

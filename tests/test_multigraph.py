@@ -1,18 +1,15 @@
 import hashlib
 import random
-from dataclasses import replace
-from math import ceil
 
 import pytest
 
-from e2evrp.bench import MetroGenConfig, generate_metro_instance
 from e2evrp.model import SecondLevelRoute, evaluate_cost, Solution, FirstLevelRoute, CostBreakdown
-from e2evrp.model import parse_instance, write_instance
 from e2evrp.multigraph import Multigraph, build_multigraph, reduce_by_dominance
 
 from oracles import (
     expand_arc_route,
     make_instance,
+    metro_instance,
     multigraph_csv,
     random_instance,
     reduce_bundle,
@@ -327,21 +324,6 @@ def test_sweep_matches_pairwise_reference():
     assert min(seen.values()) >= 100, seen
 
 
-def _metro_instance(customers, stations):
-    """A perfbench metro workload instance: battery 1000, instance seed 1."""
-    inner = customers * 4 // 5
-    cfg = MetroGenConfig(
-        n_stations=stations,
-        battery=1000,
-        seed=1,
-        n_customers_inner=inner,
-        n_customers_outer=customers - inner,
-    )
-    demand = generate_metro_instance(cfg).total_demand
-    cfg = replace(cfg, m1_fleet=ceil(demand / cfg.q1_capacity) + cfg.n_satellites - 1)
-    return parse_instance(write_instance(generate_metro_instance(cfg)))
-
-
 @pytest.mark.parametrize(
     "customers, stations, built, kept, digest",
     [
@@ -350,7 +332,7 @@ def _metro_instance(customers, stations):
     ],
 )
 def test_golden_metro_multigraph(customers, stations, built, kept, digest):
-    inst = _metro_instance(customers, stations)
+    inst = metro_instance(customers, stations)
     g = build_multigraph(inst)
     red = reduce_by_dominance(g)
     assert (g.arc_count(), red.arc_count()) == (built, kept)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -13,7 +14,14 @@ from e2evrp.ngpricing import (
     price_ng_routes,
 )
 
-from oracles import elementary_route_optima, make_instance, omega, random_instance
+from oracles import (
+    elementary_route_optima,
+    make_instance,
+    metro_instance,
+    omega,
+    price_ng_routes_reference,
+    random_instance,
+)
 
 
 def _graph(inst):
@@ -179,3 +187,57 @@ def test_bound_report_prices_each_satellite_once(monkeypatch):
     rep = bound_report(inst, graph, ng)
     assert sorted(priced) == sorted(inst.satellite_ids)
     assert rep["lower_bound"] == ng_lower_bound(inst, graph, ng)
+
+
+# ---------------------------------------------------------------------------
+# subset-memory dominance
+# ---------------------------------------------------------------------------
+
+
+def test_subset_dominance_matches_reference():
+    # hand-built: 2 and 3 lie on the segment from satellite 1 to customer 4,
+    # and a route carries two customers.  With delta 2, 2 and 4 remember each
+    # other, 3 remembers 2.  Of the 9 labels, two meet a label at the same
+    # vertex whose memory is a proper subset: 1-2-4 (memory {2, 4}) ties 1-3-4
+    # ({4}) at cost and consumption 100, and 1-4-2 ({2, 4}, 110) loses to
+    # 1-3-2 ({2}, 90).
+    inst = make_instance(
+        satellites=((1, (0, 0), None, 5),),
+        customers=((2, (90, 0), 5), (3, (50, 0), 5), (4, (100, 0), 5)),
+        q2=10,
+        q1=100,
+    )
+    graph, ng = _graph(inst), NgSets.build(inst, delta=2)
+    assert (ng.neighbors[2], ng.neighbors[3], ng.neighbors[4]) == ({2, 4}, {2, 3}, {2, 4})
+    got = price_ng_routes(inst, graph, 1, ng)
+    ref = price_ng_routes_reference(inst, graph, 1, ng)
+    assert got.by_load_last == ref.by_load_last
+    assert got.by_load_last[(10, 4)] == 100 + 100
+    assert (got.label_count, ref.label_count) == (7, 9)
+
+    # random draws: no battery, a tight one and a loose one, every delta
+    rng = random.Random(21)
+    for _ in range(15):
+        n_c = rng.randint(4, 12)
+        inst = random_instance(
+            rng, n_c=n_c, n_s=rng.randint(1, 3), battery=rng.choice([None, 120, 400]),
+            q2=20, demand_max=10,
+        )
+        graph = _graph(inst)
+        for delta in range(1, n_c + 1):
+            ng = NgSets.build(inst, delta=delta)
+            for sat in inst.satellite_ids:
+                got = price_ng_routes(inst, graph, sat, ng)
+                ref = price_ng_routes_reference(inst, graph, sat, ng)
+                assert got.by_load_last == ref.by_load_last, (inst.name, delta, sat)
+                assert got.label_count <= ref.label_count
+
+
+def test_golden_metro_pricing():
+    """ng tables at delta 3 on the perfbench bound-m10 instance."""
+    inst = metro_instance(10, 5)
+    graph, ng = _graph(inst), NgSets.build(inst, delta=3)
+    tables = {k: price_ng_routes(inst, graph, k, ng) for k in inst.satellite_ids}
+    rows = [(k, sorted(tbl.by_load_last.items())) for k, tbl in sorted(tables.items())]
+    assert hashlib.sha1(repr(rows).encode()).hexdigest() == "b429a99a15f11f8fd85ce890fa5904a005b6f71f"
+    assert ngpricing._bound_from_tables(inst, tables) == 3034
