@@ -44,7 +44,7 @@ from .model import (
     write_instance,
     write_solution,
 )
-from .multigraph import Multigraph, build_multigraph, reduce_by_dominance
+from .multigraph import LazyMultigraph, Multigraph, build_multigraph, reduce_by_dominance
 from .ngpricing import (
     NgRouteTable,
     NgSets,

@@ -380,8 +380,10 @@ def lns_run(inst: Instance, params: LnsParams) -> tuple[Solution, RunStats]:
     failures = 0
     constructed = False
 
+    deadline = None if params.t_max is None else start + params.t_max
+
     def in_budget() -> bool:
-        return params.t_max is None or time.monotonic() - start < params.t_max
+        return deadline is None or time.monotonic() < deadline
 
     while True:
         if restarts > 0:
@@ -398,7 +400,7 @@ def lns_run(inst: Instance, params: LnsParams) -> tuple[Solution, RunStats]:
                 break
             continue
         constructed = True
-        local_search(ctx, cur, rng)
+        local_search(ctx, cur, rng, deadline)
         cur_obj = cur.objective(inst)
         cur_time = time.monotonic() - start
         cur_iter = iterations
@@ -414,7 +416,7 @@ def lns_run(inst: Instance, params: LnsParams) -> tuple[Solution, RunStats]:
                 failures += 1
                 non_improving += 1
                 continue
-            local_search(ctx, repaired, rng)
+            local_search(ctx, repaired, rng, deadline)
             obj = repaired.objective(inst)
             if obj < cur_obj:
                 cur, cur_obj = repaired, obj

@@ -42,6 +42,7 @@ together with the memo, once it exceeds ``CACHE_LIMIT``.
 from __future__ import annotations
 
 import random
+import time
 from typing import Optional
 
 from .search import CACHE_LIMIT, SolverContext, WorkingSolution, build_first_level
@@ -131,9 +132,18 @@ class _LsState:
 
 
 def local_search(
-    ctx: SolverContext, sol: WorkingSolution, rng: random.Random
+    ctx: SolverContext,
+    sol: WorkingSolution,
+    rng: random.Random,
+    deadline: Optional[float] = None,
 ) -> WorkingSolution:
-    """Improve ``sol`` in place until no move in any neighborhood helps."""
+    """Improve ``sol`` in place until no move in any neighborhood helps.
+
+    With a ``deadline`` (a ``time.monotonic()`` value) the clock is read once
+    after each neighborhood scan, and the search returns there once the
+    deadline has passed; every route's plan is then current.  Without one the
+    clock is never read.
+    """
     if not sol.routes:
         return sol
     sol.ensure_plans(ctx)
@@ -171,6 +181,8 @@ def local_search(
                         tags = st.tags[route_of[i]]
                     else:
                         row[j] = tag
+            if deadline is not None and time.monotonic() >= deadline:
+                return sol
     return sol
 
 

@@ -14,7 +14,7 @@ direct leg).  A graph maps each ordered pair ``(tail, head)`` to a tuple of
 such rows, its *bundle*; the charging DP and the ng pricing read the rows
 as they are.  Every bundle is sorted by cost, then arrival consumption,
 then station id with the direct arc as -1, and holds at most one arc per
-station, so that order is total.  The build computes once, per satellite
+station, so that order is total.  The graph computes once, per satellite
 and customer, its *reach map*: the charging locations within battery range
 of it, with their distances.  Distances are symmetric, so the via arcs of
 pair (i, j) are the entries k of i's reach map that also lie in j's, and no
@@ -34,12 +34,23 @@ survives.  The reduction is a sort-and-sweep over each bundle:
   kept before it has both consumption and station leg at most its own.
 
 Survivors are emitted in their original bundle order.
+
+A graph is either eager or lazy.  ``build_multigraph`` builds every
+admissible pair's bundle and ``reduce_by_dominance`` reduces them all; the
+``bound`` command, the benchmark set-up and the tests use these.  The solver
+uses a :class:`LazyMultigraph`: it computes only the reach maps up front,
+and builds, reduces and memoizes a pair's bundle on the first ``arcs`` call
+for it, with the same per-pair builder and the same sweep.  A search reads
+a small share of the pairs, so most bundles are never built.  On a lazy
+graph ``pairs()`` and ``arc_count()`` cover only the bundles built so far;
+pairs without an admissible arc (sat→sat and i→i among them) read as ``()``
+and are memoized without appearing in ``pairs()``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .model import Instance
 
@@ -48,10 +59,10 @@ Arc = tuple[int, int, Optional[int], int]
 
 
 class Multigraph:
-    """Per ordered pair, the surviving arc rows sorted by cost ascending.
+    """Per ordered pair, the arc rows sorted by cost ascending.
 
     ``bundles`` maps ``(tail, head)`` to the pair's rows; pairs without an
-    admissible arc are absent.
+    admissible arc are absent or map to ``()``.
     """
 
     def __init__(self, inst: Instance, bundles: dict[tuple[int, int], tuple[Arc, ...]]):
@@ -62,64 +73,102 @@ class Multigraph:
         return self.bundles.get((tail, head), ())
 
     def pairs(self) -> Iterator[tuple[int, int]]:
-        return iter(self.bundles)
+        return (pair for pair, bundle in self.bundles.items() if bundle)
 
     def arc_count(self) -> int:
         return sum(len(b) for b in self.bundles.values())
 
 
-def build_multigraph(inst: Instance) -> Multigraph:
-    """Construct all admissible arcs, pre-filtered by battery range.
+class LazyMultigraph(Multigraph):
+    """The reduced multigraph, each bundle built and reduced on its first read."""
 
-    With an unconstrained battery only direct arcs are generated: charging
-    stops can never be required, and keeping via arcs would only let the
-    integer rounding of detour legs masquerade as shortcuts.
+    def __init__(self, inst: Instance):
+        super().__init__(inst, {})
+        self._rows = _pair_builder(inst)
+        self._satellites = frozenset(inst.satellite_ids)
+        self._customers = frozenset(inst.customer_ids)
+
+    def arcs(self, tail: int, head: int) -> tuple[Arc, ...]:
+        bundle = self.bundles.get((tail, head))
+        if bundle is None:
+            bundle = self._build(tail, head)
+        return bundle
+
+    def _build(self, tail: int, head: int) -> tuple[Arc, ...]:
+        sats, custs = self._satellites, self._customers
+        if tail != head and (
+            tail in custs and (head in custs or head in sats)
+            or tail in sats and head in custs
+        ):
+            bundle = _reduce_bundle(self._rows(tail, head), tail in sats)
+        else:
+            bundle = ()
+        self.bundles[tail, head] = bundle
+        return bundle
+
+
+def _pair_builder(inst: Instance) -> Callable[[int, int], tuple[Arc, ...]]:
+    """The unreduced bundle of an admissible pair, read off reach maps computed here.
+
+    With an unconstrained battery the reach maps are empty, so only direct
+    arcs are generated: charging stops can never be required, and keeping via
+    arcs would only let the integer rounding of detour legs masquerade as
+    shortcuts.
     """
     limit = inst.battery_limit
-    sats = inst.satellite_ids
-    custs = inst.customer_ids
     scale = inst.consumption_scale[0]
-    dist = inst.distance
-
-    pairs: list[tuple[int, int]] = []
-    for s in sats:
-        for c in custs:
-            pairs.append((s, c))
-            pairs.append((c, s))
-    for a in custs:
-        for b in custs:
-            if a != b:
-                pairs.append((a, b))
+    dist = inst._dist  # the table itself: the checked accessor costs a call per lookup
 
     # reach[v]: {k: (d(v,k), c(v,k))} over the charging locations k != v within
     # range; charging at an endpoint adds nothing over the direct arc
     reach: dict[int, dict[int, tuple[int, int]]] = {}
-    for v in (*sats, *custs):
+    for v in (*inst.satellite_ids, *inst.customer_ids):
         near: dict[int, tuple[int, int]] = {}
         if limit is not None:
+            row = dist[v]
             for k in inst.charging_ids:
-                d = dist(v, k)
+                d = row[k]
                 if k != v and scale * d <= limit:
                     near[k] = (d, scale * d)
         reach[v] = near
 
-    bundles: dict[tuple[int, int], tuple[Arc, ...]] = {}
-    for i, j in pairs:
+    def rows(i: int, j: int) -> tuple[Arc, ...]:
         near_j = reach[j]
-        rows: list[Arc] = []
+        out: list[Arc] = []
         for k, (d_ik, c_ik) in reach[i].items():
             kj = near_j.get(k)
             if kj is not None:
-                rows.append((d_ik + kj[0], kj[1], k, c_ik))
-        rows.sort()
-        d_ij = dist(i, j)
+                out.append((d_ik + kj[0], kj[1], k, c_ik))
+        out.sort()
+        d_ij = dist[i][j]
         c_ij = scale * d_ij
         if limit is None or c_ij <= limit:
             # the direct arc sorts as station -1: ahead of the via arcs it
             # ties with on (cost, consumption)
-            rows.insert(bisect_left(rows, (d_ij, c_ij)), (d_ij, c_ij, None, 0))
-        if rows:
-            bundles[i, j] = tuple(rows)
+            out.insert(bisect_left(out, (d_ij, c_ij)), (d_ij, c_ij, None, 0))
+        return tuple(out)
+
+    return rows
+
+
+def build_multigraph(inst: Instance) -> Multigraph:
+    """Construct every admissible pair's bundle, pre-filtered by battery range."""
+    rows = _pair_builder(inst)
+    pairs: list[tuple[int, int]] = []
+    for s in inst.satellite_ids:
+        for c in inst.customer_ids:
+            pairs.append((s, c))
+            pairs.append((c, s))
+    for a in inst.customer_ids:
+        for b in inst.customer_ids:
+            if a != b:
+                pairs.append((a, b))
+
+    bundles: dict[tuple[int, int], tuple[Arc, ...]] = {}
+    for i, j in pairs:
+        bundle = rows(i, j)
+        if bundle:
+            bundles[i, j] = bundle
     return Multigraph(inst, bundles)
 
 
@@ -127,10 +176,10 @@ def _sweep_satellite_tail(bundle: Sequence[Arc]) -> list[int]:
     """Positions of the survivors in a bundle leaving a satellite."""
     keep = []
     last = None
-    for _, cons, _, p in sorted(
+    for _, cons, _, p in sorted([
         (cost, cons, -1 if station is None else station, p)
         for p, (cost, cons, station, _) in enumerate(bundle)
-    ):
+    ]):
         if last is None or cons < last:
             keep.append(p)
             last = cons
@@ -158,16 +207,20 @@ def _sweep_customer_tail(bundle: Sequence[Arc]) -> list[int]:
     return keep
 
 
+def _reduce_bundle(bundle: tuple[Arc, ...], satellite_tail: bool) -> tuple[Arc, ...]:
+    """The bundle's arcs that no parallel arc dominates, in bundle order."""
+    if len(bundle) <= 1:
+        return bundle
+    keep = (_sweep_satellite_tail if satellite_tail else _sweep_customer_tail)(bundle)
+    keep.sort()
+    return tuple([bundle[p] for p in keep])
+
+
 def reduce_by_dominance(graph: Multigraph) -> Multigraph:
     """Drop arcs that some parallel arc renders useless in any optimal route."""
     inst = graph.instance
     sat_set = set(inst.satellite_ids)
-    reduced: dict[tuple[int, int], tuple[Arc, ...]] = {}
-    for (i, j), bundle in graph.bundles.items():
-        if len(bundle) == 1:
-            reduced[i, j] = bundle
-            continue
-        keep = (_sweep_satellite_tail if i in sat_set else _sweep_customer_tail)(bundle)
-        keep.sort()
-        reduced[i, j] = tuple([bundle[p] for p in keep])
-    return Multigraph(inst, reduced)
+    return Multigraph(inst, {
+        (i, j): _reduce_bundle(bundle, i in sat_set)
+        for (i, j), bundle in graph.bundles.items()
+    })

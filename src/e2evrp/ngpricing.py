@@ -105,7 +105,9 @@ def price_ng_routes(
     q2 = inst.q2_capacity
     limit = inst.battery_limit
 
-    bundles = graph.bundles
+    # every leg the recursion reads, through ``arcs`` so that a lazy graph
+    # builds the ones it has not built yet
+    bundles = {(i, j): graph.arcs(i, j) for i in custs for j in (*custs, satellite)}
 
     # labels[(vertex, load, memory mask)] -> nondominated [(w, cost)]
     labels: dict[tuple[int, int, int], list[tuple[int, int]]] = {}

@@ -20,7 +20,7 @@ from .model import (
     Solution,
     evaluate_cost,
 )
-from .multigraph import Multigraph, build_multigraph, reduce_by_dominance
+from .multigraph import LazyMultigraph
 
 # entries a per-run memo may hold before it is emptied wholesale
 CACHE_LIMIT = 500_000
@@ -40,10 +40,16 @@ def build_neighbor_lists(inst: Instance, gamma: int) -> dict[int, tuple[int, ...
 
 @dataclass
 class SolverContext:
-    """Immutable per-run data shared by destroy, repair and local search."""
+    """Per-run data shared by destroy, repair and local search.
+
+    The instance and the neighbour lists stay fixed for the run.  The graph
+    builds each arc bundle on its first read, and the three memos below fill
+    in as the search runs; all of them are pure functions of the instance,
+    so they save work without changing any result.
+    """
 
     inst: Instance
-    graph: Multigraph
+    graph: LazyMultigraph
     sorted_neighbors: dict[int, tuple[int, ...]]  # all peers by distance
     granular: dict[int, tuple[int, ...]]  # first gamma of the above
     granular_set: dict[int, frozenset]  # same, for membership tests
@@ -55,7 +61,7 @@ class SolverContext:
 
     @classmethod
     def build(cls, inst: Instance, gamma: int) -> "SolverContext":
-        graph = reduce_by_dominance(build_multigraph(inst))
+        graph = LazyMultigraph(inst)
         full = build_neighbor_lists(inst, max(0, len(inst.customers) - 1))
         granular = {c: nbs[:gamma] for c, nbs in full.items()}
         gset = {c: frozenset(nbs) for c, nbs in granular.items()}

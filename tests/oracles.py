@@ -10,6 +10,7 @@ recursion without its subset-memory dominance.
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import replace
 from math import ceil
 from typing import Optional, Sequence
@@ -507,7 +508,7 @@ def expand_arc_route(inst: Instance, legs: Sequence[tuple[int, int, Arc]]) -> Se
 # ---------------------------------------------------------------------------
 
 
-def local_search_reference(ctx, sol, rng: random.Random):
+def local_search_reference(ctx, sol, rng: random.Random, deadline=None):
     """``local_search`` without its failed-move memo: every pass evaluates
     every granular pair of every neighborhood again."""
     from e2evrp import localsearch as ls
@@ -530,4 +531,6 @@ def local_search_reference(ctx, sol, rng: random.Random):
                 for j in ctx.granular[i]:
                     if i != j and handler(ctx, st, i, j):
                         improved = True
+            if deadline is not None and time.monotonic() >= deadline:
+                return sol
     return sol

@@ -312,6 +312,31 @@ def test_unconstrained_run_never_visits_stations():
     assert 100.0 * (sol.cost.total - sol.cost.total) / sol.cost.total == 0.0
 
 
+def test_detour_reference_never_exceeds_stripped_constrained_cost():
+    from dataclasses import replace as dc_replace
+
+    from e2evrp.lns import lns_run
+    from e2evrp.model import check_feasibility, count_station_visits, evaluate_cost
+
+    params = _tiny_params()
+    stops = 0
+    for cfg in bench.metro_family("battery", [300, 400, 600], 2, _tiny_cfg()):
+        for seed in (1, 2):
+            rec = bench._sweep_job((cfg.battery, cfg, seed, params))
+            inst = generate_metro_instance(cfg)
+            free = dc_replace(inst, battery_capacity=None)
+            sol_c, _ = lns_run(inst, dc_replace(params, seed=seed))
+            sol_u, _ = lns_run(free, dc_replace(params, seed=seed))
+            stripped = bench.without_stops(free, sol_c)
+            assert check_feasibility(free, stripped) == []
+            assert count_station_visits(free, stripped) == 0
+            assert stripped.cost == evaluate_cost(free, stripped)
+            assert rec.cost_unconstrained == min(sol_u.cost.total, stripped.cost.total)
+            assert rec.cost_unconstrained <= stripped.cost.total
+            stops += rec.station_visits
+    assert stops > 0
+
+
 def test_sweep_rejects_bad_mode(monkeypatch):
     with pytest.raises(ValueError):
         sweep([1], "speed", instances_per_level=1, runs_per_instance=1, params=_tiny_params())

@@ -366,6 +366,9 @@ def test_time_budget_respected():
     [
         (50, 20, 2, 20, (15028, 26, 1, 0, 6), "199ae6852a143f5bbe660230d7fa5fc1ec76678f"),
         (10, 5, 1, 20, (5763, 29, 1, 0, 9), "c4645bf72d95051400b7c00a8e2b9b938b621ced"),
+        (50, 20, 3, 20, (16278, 43, 1, 0, 23), "0f43d60cd9d2c1561b8f9ae87f3e69497872ae68"),
+        (50, 20, 4, 20, (15716, 20, 1, 0, 0), "e81513aa6fc9a18b3ed3f8354c209771591a4ee4"),
+        (100, 20, 1, 1, (25637, 4, 1, 0, 3), "734f7a8068867ef318ce4e22ff7add52c9dc2e98"),
     ],
 )
 def test_golden_metro_solves(customers, stations, seed, i_max, fields, digest):

@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import replace
 from math import ceil
 
@@ -335,9 +336,9 @@ def test_memo_hazards(monkeypatch):
     monkeypatch.setattr(ls, "CACHE_LIMIT", 10)
     contexts = []
 
-    def memoized(ctx, sol, rng):
+    def memoized(ctx, sol, rng, deadline):
         contexts.append(ctx)
-        return local_search(ctx, sol, rng)
+        return local_search(ctx, sol, rng, deadline)
 
     rng = random.Random(99)
     for seed in range(6):
@@ -350,3 +351,49 @@ def test_memo_hazards(monkeypatch):
         gamma = len(ctx.granular[inst.customer_ids[0]])
         entries = sum(len(row) for rows in ctx.failed_moves.values() for row in rows.values())
         assert entries <= len(ls._NEIGHBORHOODS) * len(inst.customers) * gamma
+
+
+def _repaired(seed):
+    rng = random.Random(seed)
+    inst = random_instance(
+        rng, n_c=14, n_s=2, n_r=3, span=250, battery=400, q2=60, m2_local=10, m2=20
+    )
+    ctx = _ctx(inst)
+    sol = repair(ctx, WorkingSolution(), list(inst.customer_ids), set(), rng)
+    assert sol is not None
+    return inst, ctx, sol, rng
+
+
+def test_passed_deadline_returns_after_one_scan():
+    inst, ctx, sol, rng = _repaired(41)
+    before = sol.objective(inst)
+    probe = random.Random()
+    probe.setstate(rng.getstate())
+    local_search(ctx, sol, rng, deadline=time.monotonic() - 1.0)
+    # one scan draws two shuffles, the neighborhood order and the scan order
+    probe.shuffle(list(ls._NEIGHBORHOODS))
+    probe.shuffle(list(inst.customer_ids))
+    assert rng.getstate() == probe.getstate()
+    # the working solution is whole and its plans, loads and first level current
+    assert sol.objective(inst) <= before
+    assert sorted(c for r in sol.routes for c in r.customers) == sorted(inst.customer_ids)
+    for r in sol.routes:
+        assert r.plan == ctx.plan(r.satellite, tuple(r.customers))
+        assert r.load == sum(inst.demand[c] for c in r.customers)
+    assert build_first_level(inst, sol.sat_demand()) == (sol.first_level, sol.l1_distance)
+
+
+def test_no_deadline_never_reads_the_clock(monkeypatch):
+    inst, ctx, sol, rng = _repaired(43)
+    probe = _repaired(43)
+
+    def no_clock():
+        raise AssertionError("local_search read the clock without a deadline")
+
+    monkeypatch.setattr(time, "monotonic", no_clock)
+    local_search(ctx, sol, rng)
+    monkeypatch.undo()
+    # a deadline that never passes changes nothing but the clock reads
+    local_search(probe[1], probe[2], probe[3], deadline=float("inf"))
+    assert [r.customers for r in sol.routes] == [r.customers for r in probe[2].routes]
+    assert rng.getstate() == probe[3].getstate()

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from e2evrp.model import SecondLevelRoute, evaluate_cost, Solution, FirstLevelRoute, CostBreakdown
-from e2evrp.multigraph import Multigraph, build_multigraph, reduce_by_dominance
+from e2evrp.model import DEPOT_ID, SecondLevelRoute, evaluate_cost, Solution, FirstLevelRoute, CostBreakdown
+from e2evrp.multigraph import LazyMultigraph, Multigraph, build_multigraph, reduce_by_dominance
+from e2evrp.search import SolverContext
 
 from oracles import (
     expand_arc_route,
@@ -341,3 +342,61 @@ def test_golden_metro_multigraph(customers, stations, built, kept, digest):
         for (i, j) in red.pairs()
     ]
     assert hashlib.sha1(repr(rows).encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# the lazy graph
+# ---------------------------------------------------------------------------
+
+
+def _assert_forced_lazy_equals_eager(inst):
+    """Read every ordered vertex pair from a fresh lazy graph and compare it,
+    row for row, with the eagerly built and reduced graph; returns the number
+    of pairs whose reduction dropped an arc."""
+    eager = reduce_by_dominance(build_multigraph(inst))
+    lazy = LazyMultigraph(inst)
+    ids = [DEPOT_ID, *inst.satellite_ids, *inst.customer_ids, *inst.station_ids]
+    for i in ids:
+        for j in ids:
+            assert lazy.arcs(i, j) == eager.arcs(i, j), (i, j)
+    assert sorted(lazy.pairs()) == sorted(eager.pairs())
+    assert {p: lazy.arcs(*p) for p in lazy.pairs()} == eager.bundles
+    assert lazy.arc_count() == eager.arc_count()
+    full = build_multigraph(inst)
+    return sum(len(full.arcs(*p)) > len(eager.arcs(*p)) for p in full.pairs())
+
+
+@pytest.mark.parametrize("customers, stations", [(10, 5), (50, 20), (100, 20)])
+def test_forced_lazy_graph_equals_eager_on_benchmark_instances(customers, stations):
+    assert _assert_forced_lazy_equals_eager(metro_instance(customers, stations)) > 0
+
+
+def test_forced_lazy_graph_equals_eager_on_random_draws():
+    rng = random.Random(808)
+    thinned = 0
+    for n in range(60):
+        inst = random_instance(
+            rng, n_c=rng.randint(3, 9), n_s=rng.randint(1, 3), n_r=rng.randint(1, 5),
+            battery=(None, 120, 160, 220, 400)[n % 5],  # unconstrained to tight
+        )
+        thinned += _assert_forced_lazy_equals_eager(inst)
+    assert thinned > 0
+
+
+def test_fresh_solver_context_has_built_no_bundle():
+    ctx = SolverContext.build(metro_instance(10, 5), 25)
+    assert ctx.graph.bundles == {}
+    assert list(ctx.graph.pairs()) == [] and ctx.graph.arc_count() == 0
+
+
+def test_inadmissible_pair_reads_empty_without_becoming_a_pair():
+    inst = metro_instance(10, 5)
+    g = LazyMultigraph(inst)
+    s1, s2 = inst.satellite_ids[:2]
+    c = inst.customer_ids[0]
+    k = inst.station_ids[0]
+    for pair in ((s1, s2), (c, c), (s1, s1), (DEPOT_ID, c), (c, k), (k, c)):
+        assert g.arcs(*pair) == ()
+        assert pair in g.bundles  # memoized
+    assert list(g.pairs()) == []
+    assert g.arcs(s1, c) and list(g.pairs()) == [(s1, c)]

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from e2evrp import ngpricing
-from e2evrp.multigraph import build_multigraph, reduce_by_dominance
+from e2evrp.multigraph import LazyMultigraph, build_multigraph, reduce_by_dominance
 from e2evrp.ngpricing import (
     NgRouteTable,
     NgSets,
@@ -241,3 +241,20 @@ def test_golden_metro_pricing():
     rows = [(k, sorted(tbl.by_load_last.items())) for k, tbl in sorted(tables.items())]
     assert hashlib.sha1(repr(rows).encode()).hexdigest() == "b429a99a15f11f8fd85ce890fa5904a005b6f71f"
     assert ngpricing._bound_from_tables(inst, tables) == 3034
+
+
+def test_lazy_graph_prices_like_eager():
+    """Pricing reads its legs through ``arcs``, so a lazy graph that the
+    pricing itself fills gives the eager graph's tables."""
+    rng = random.Random(61)
+    instances = [metro_instance(10, 5)] + [
+        random_instance(rng, n_c=7, n_s=2, n_r=3, battery=battery, q2=60)
+        for battery in (None, 160, 400)
+    ]
+    for inst in instances:
+        ng = NgSets.build(inst, delta=3)
+        lazy = LazyMultigraph(inst)
+        for sat in inst.satellite_ids:
+            got = price_ng_routes(inst, lazy, sat, ng)
+            ref = price_ng_routes(inst, _graph(inst), sat, ng)
+            assert (got.by_load_last, got.label_count) == (ref.by_load_last, ref.label_count)
