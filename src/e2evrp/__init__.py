@@ -44,13 +44,12 @@ from .model import (
     write_instance,
     write_solution,
 )
-from .multigraph import LazyMultigraph, Multigraph, build_multigraph, reduce_by_dominance
+from .multigraph import Multigraph, build_multigraph, reduce_by_dominance, reduced_multigraph
 from .ngpricing import (
     NgRouteTable,
     NgSets,
     NgStateSpaceExceeded,
     bound_report,
-    ng_lower_bound,
     price_ng_routes,
 )
 from .search import SolverContext, build_first_level, build_neighbor_lists

@@ -267,8 +267,8 @@ def augment_2evrp_instance(
     ``max(0.6 * gamma1, 2 * gamma2)`` (in scaled units), where ``gamma2`` is
     the largest customer-to-nearest-station distance after placement.
     """
-    if gamma1 <= 0:
-        raise ValueError("gamma1 must be positive")
+    if not (math.isfinite(gamma1) and gamma1 > 0):
+        raise ValueError(f"gamma1 must be finite and positive, got {gamma1}")
     if not 0.1 <= station_ratio <= 0.2:
         raise ValueError("station/customer ratio must lie in [1/10, 1/5]")
     scale = 10

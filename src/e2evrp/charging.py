@@ -28,8 +28,6 @@ from typing import Optional, Sequence
 from .model import Instance
 from .multigraph import Multigraph
 
-_INF = float("inf")
-
 
 @dataclass(frozen=True)
 class InsertionResult:
@@ -46,11 +44,6 @@ class InsertionResult:
     stations: tuple[tuple[int, int], ...]
     excess: int
     penalty: int
-
-    def objective(self) -> int | float:
-        if self.cost is None:
-            return _INF
-        return self.cost + self.penalty
 
 
 _EMPTY = InsertionResult(True, 0, (), 0, 0)
@@ -138,8 +131,8 @@ def optimal_insertion(
 ) -> InsertionResult:
     """Least-cost feasible placement of at most one charging stop per leg.
 
-    Returns ``feasible=False`` (cost ``None``, +inf objective) when no
-    placement keeps the battery trace within capacity.
+    Returns ``feasible=False`` (cost ``None``) when no placement keeps the
+    battery trace within capacity.
     """
     if not customers:
         return _EMPTY

@@ -22,7 +22,7 @@ from .model import (
     write_instance,
     write_solution,
 )
-from .multigraph import build_multigraph, reduce_by_dominance
+from .multigraph import reduced_multigraph
 from .ngpricing import NgSets, NgStateSpaceExceeded, bound_report
 
 SOLVE_CSV_HEADER = "instance,avg,best,t_star_avg,runs"
@@ -309,7 +309,7 @@ def sweep(mode, levels, instances, runs, budget, workers, battery, stations, out
 def bound(instance_path, delta, max_states, json_out, as_json):
     """Lower-bound report from the pricing relaxation."""
     inst = _load_instance(instance_path, as_json)
-    graph = reduce_by_dominance(build_multigraph(inst))
+    graph = reduced_multigraph(inst)
     ng = NgSets.build(inst, delta=min(delta, max(1, len(inst.customers))))
     try:
         report = bound_report(inst, graph, ng, max_states=max_states)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterator, Optional, Sequence
 
 Point = tuple[int, int]
@@ -165,11 +165,12 @@ class Instance:
         pos = self.positions
         ids = list(pos)
         d: dict[int, dict[int, int]] = {i: {} for i in ids}
-        for a in ids:
+        # the metric is symmetric: each unordered pair is computed once
+        for n, a in enumerate(ids):
             pa = pos[a]
             row = d[a]
-            for b in ids:
-                row[b] = rounded_distance(pa, pos[b])
+            for b in ids[n:]:
+                row[b] = d[b][a] = rounded_distance(pa, pos[b])
         return d
 
     def distance(self, a: int, b: int) -> int:
@@ -430,13 +431,19 @@ def _tokens(text: str) -> Iterator[tuple[int, list[str]]]:
             yield lineno, line.split()
 
 
-def _parse_int(tok: str, lineno: int, what: str, minimum: Optional[int] = None) -> int:
+def _parse_int(
+    tok: str,
+    lineno: int,
+    what: str,
+    minimum: Optional[int] = None,
+    error: type[ValueError] = InstanceError,
+) -> int:
     try:
         value = int(tok)
     except ValueError:
-        raise InstanceError(f"line {lineno}: {what} must be an integer, got {tok!r}") from None
+        raise error(f"line {lineno}: {what} must be an integer, got {tok!r}") from None
     if minimum is not None and value < minimum:
-        raise InstanceError(f"line {lineno}: {what} must be >= {minimum}, got {value}")
+        raise error(f"line {lineno}: {what} must be >= {minimum}, got {value}")
     return value
 
 
@@ -620,6 +627,7 @@ def parse_solution(text: str, inst: Optional[Instance] = None) -> Solution:
     Route loads are not stored in the file; pass ``inst`` to fill them in
     from customer demands (required before :func:`check_feasibility`).
     """
+    num = partial(_parse_int, error=SolutionFormatError)
     costs: Optional[CostBreakdown] = None
     first: list[FirstLevelRoute] = []
     second: list[SecondLevelRoute] = []
@@ -628,7 +636,7 @@ def parse_solution(text: str, inst: Optional[Instance] = None) -> Solution:
         if head == "COSTS":
             if len(toks) != 5:
                 raise SolutionFormatError(f"line {lineno}: COSTS expects 4 integers")
-            vals = [_parse_int(t, lineno, "cost") for t in toks[1:]]
+            vals = [num(t, lineno, "cost") for t in toks[1:]]
             costs = CostBreakdown(*vals)
         elif head == "L1:":
             if len(toks) < 3 or toks[1] != str(DEPOT_ID) or toks[-1] != str(DEPOT_ID):
@@ -639,19 +647,19 @@ def parse_solution(text: str, inst: Optional[Instance] = None) -> Solution:
                     raise SolutionFormatError(f"line {lineno}: expected sat:qty, got {tok!r}")
                 sat_s, qty_s = tok.split(":", 1)
                 stops.append(
-                    (_parse_int(sat_s, lineno, "satellite id"), _parse_int(qty_s, lineno, "qty"))
+                    (num(sat_s, lineno, "satellite id"), num(qty_s, lineno, "qty"))
                 )
             first.append(FirstLevelRoute(tuple(stops)))
         elif head == "L2:":
             if len(toks) < 3:
                 raise SolutionFormatError(f"line {lineno}: L2 route needs satellite ids")
-            sat = _parse_int(toks[1], lineno, "satellite id")
-            end = _parse_int(toks[-1], lineno, "satellite id")
+            sat = num(toks[1], lineno, "satellite id")
+            end = num(toks[-1], lineno, "satellite id")
             if sat != end:
                 raise SolutionFormatError(
                     f"line {lineno}: L2 route must start and end at the same satellite"
                 )
-            visits = tuple(_parse_int(t, lineno, "vertex id") for t in toks[2:-1])
+            visits = tuple(num(t, lineno, "vertex id") for t in toks[2:-1])
             load = 0
             if inst is not None:
                 load = sum(inst.demand.get(v, 0) for v in visits)

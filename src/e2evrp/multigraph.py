@@ -35,22 +35,28 @@ survives.  The reduction is a sort-and-sweep over each bundle:
 
 Survivors are emitted in their original bundle order.
 
-A graph is either eager or lazy.  ``build_multigraph`` builds every
-admissible pair's bundle and ``reduce_by_dominance`` reduces them all; the
-``bound`` command, the benchmark set-up and the tests use these.  The solver
-uses a :class:`LazyMultigraph`: it computes only the reach maps up front,
-and builds, reduces and memoizes a pair's bundle on the first ``arcs`` call
-for it, with the same per-pair builder and the same sweep.  A search reads
-a small share of the pairs, so most bundles are never built.  On a lazy
-graph ``pairs()`` and ``arc_count()`` cover only the bundles built so far;
-pairs without an admissible arc (sat→sat and i→i among them) read as ``()``
-and are memoized without appearing in ``pairs()``.
+One class, :class:`Multigraph`, serves every use.  It is given a per-pair
+row builder; it builds an admissible pair's bundle (satellite↔customer or
+customer→customer) on the first ``arcs`` call for that pair and memoizes
+it.  Every other pair (sat→sat, i→i, the depot, stations) reads as ``()``
+and is memoized without appearing in ``pairs()``; ``pairs()`` and
+``arc_count()`` cover the bundles built so far, in the order they were
+built.  The solver and the ``bound`` command read the lazy reduced graph of
+:func:`reduced_multigraph`: it computes only the reach maps up front and
+reduces each bundle as it builds it, so a bundle the search never reads is
+never built.  The benchmark and the tests time and count the two steps
+apart, on eager graphs: :func:`build_multigraph` forces every admissible
+pair's raw rows in one fixed order -- per satellite s and customer c,
+(s, c) then (c, s), then every customer pair -- and
+:func:`reduce_by_dominance` reduces every bundle a graph has built, in its
+order, so the reduction of a forced graph is forced too.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Callable, Iterator, Optional, Sequence
+from itertools import product
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .model import Instance
 
@@ -59,18 +65,33 @@ Arc = tuple[int, int, Optional[int], int]
 
 
 class Multigraph:
-    """Per ordered pair, the arc rows sorted by cost ascending.
+    """Per ordered pair, the arc rows sorted by cost ascending, built on first read.
 
-    ``bundles`` maps ``(tail, head)`` to the pair's rows; pairs without an
-    admissible arc are absent or map to ``()``.
+    ``rows(tail, head)`` gives an admissible pair's bundle; ``bundles``
+    memoizes every pair read so far, an inadmissible one as ``()``.
     """
 
-    def __init__(self, inst: Instance, bundles: dict[tuple[int, int], tuple[Arc, ...]]):
+    def __init__(self, inst: Instance, rows: Callable[[int, int], tuple[Arc, ...]]):
         self.instance = inst
-        self.bundles = bundles
+        self.bundles: dict[tuple[int, int], tuple[Arc, ...]] = {}
+        self._rows = rows
+        custs = frozenset(inst.customer_ids)
+        # the heads each tail may have: a satellite's are the customers, a
+        # customer's the satellites and the customers
+        self._heads = dict.fromkeys(inst.satellite_ids, custs)
+        self._heads.update(dict.fromkeys(custs, custs | frozenset(inst.satellite_ids)))
+
+    def _admissible(self, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+        """The pairs that carry arcs, satellite↔customer or customer→customer."""
+        heads = self._heads
+        return [p for p in pairs if p[0] != p[1] and p[1] in heads.get(p[0], ())]
 
     def arcs(self, tail: int, head: int) -> tuple[Arc, ...]:
-        return self.bundles.get((tail, head), ())
+        bundle = self.bundles.get((tail, head))
+        if bundle is None:
+            bundle = self._rows(tail, head) if self._admissible([(tail, head)]) else ()
+            self.bundles[tail, head] = bundle
+        return bundle
 
     def pairs(self) -> Iterator[tuple[int, int]]:
         return (pair for pair, bundle in self.bundles.items() if bundle)
@@ -78,33 +99,25 @@ class Multigraph:
     def arc_count(self) -> int:
         return sum(len(b) for b in self.bundles.values())
 
+    def force(self) -> "Multigraph":
+        """Build every admissible bundle and return the graph.
 
-class LazyMultigraph(Multigraph):
-    """The reduced multigraph, each bundle built and reduced on its first read."""
+        The order is fixed: per satellite s and customer c, (s, c) then
+        (c, s), then every customer pair.
+        """
+        custs = self.instance.customer_ids
+        order = []
+        for s in self.instance.satellite_ids:
+            for c in custs:
+                order += (s, c), (c, s)
+        order += product(custs, custs)
+        return self._build(order)
 
-    def __init__(self, inst: Instance):
-        super().__init__(inst, {})
-        self._rows = _pair_builder(inst)
-        self._satellites = frozenset(inst.satellite_ids)
-        self._customers = frozenset(inst.customer_ids)
-
-    def arcs(self, tail: int, head: int) -> tuple[Arc, ...]:
-        bundle = self.bundles.get((tail, head))
-        if bundle is None:
-            bundle = self._build(tail, head)
-        return bundle
-
-    def _build(self, tail: int, head: int) -> tuple[Arc, ...]:
-        sats, custs = self._satellites, self._customers
-        if tail != head and (
-            tail in custs and (head in custs or head in sats)
-            or tail in sats and head in custs
-        ):
-            bundle = _reduce_bundle(self._rows(tail, head), tail in sats)
-        else:
-            bundle = ()
-        self.bundles[tail, head] = bundle
-        return bundle
+    def _build(self, pairs: Iterable[tuple[int, int]]) -> "Multigraph":
+        """Build the bundles of the admissible ones among ``pairs``, in order."""
+        rows = self._rows
+        self.bundles.update({pair: rows(*pair) for pair in self._admissible(pairs)})
+        return self
 
 
 def _pair_builder(inst: Instance) -> Callable[[int, int], tuple[Arc, ...]]:
@@ -152,24 +165,15 @@ def _pair_builder(inst: Instance) -> Callable[[int, int], tuple[Arc, ...]]:
 
 
 def build_multigraph(inst: Instance) -> Multigraph:
-    """Construct every admissible pair's bundle, pre-filtered by battery range."""
-    rows = _pair_builder(inst)
-    pairs: list[tuple[int, int]] = []
-    for s in inst.satellite_ids:
-        for c in inst.customer_ids:
-            pairs.append((s, c))
-            pairs.append((c, s))
-    for a in inst.customer_ids:
-        for b in inst.customer_ids:
-            if a != b:
-                pairs.append((a, b))
+    """Every admissible pair's bundle, pre-filtered by battery range."""
+    return Multigraph(inst, _pair_builder(inst)).force()
 
-    bundles: dict[tuple[int, int], tuple[Arc, ...]] = {}
-    for i, j in pairs:
-        bundle = rows(i, j)
-        if bundle:
-            bundles[i, j] = bundle
-    return Multigraph(inst, bundles)
+
+def reduced_multigraph(inst: Instance) -> Multigraph:
+    """The reduced multigraph, each bundle built and reduced on its first read."""
+    rows = _pair_builder(inst)
+    sats = frozenset(inst.satellite_ids)
+    return Multigraph(inst, lambda i, j: _reduce_bundle(rows(i, j), i in sats))
 
 
 def _sweep_satellite_tail(bundle: Sequence[Arc]) -> list[int]:
@@ -217,10 +221,12 @@ def _reduce_bundle(bundle: tuple[Arc, ...], satellite_tail: bool) -> tuple[Arc, 
 
 
 def reduce_by_dominance(graph: Multigraph) -> Multigraph:
-    """Drop arcs that some parallel arc renders useless in any optimal route."""
-    inst = graph.instance
-    sat_set = set(inst.satellite_ids)
-    return Multigraph(inst, {
-        (i, j): _reduce_bundle(bundle, i in sat_set)
-        for (i, j), bundle in graph.bundles.items()
-    })
+    """Drop arcs that some parallel arc renders useless in any optimal route.
+
+    The bundles ``graph`` has built are reduced at once, in its order, and
+    any other on its first read: the reduction of a forced graph is forced.
+    """
+    arcs = graph.arcs
+    sats = frozenset(graph.instance.satellite_ids)
+    reduced = Multigraph(graph.instance, lambda i, j: _reduce_bundle(arcs(i, j), i in sats))
+    return reduced._build(graph.bundles)

@@ -26,17 +26,18 @@ falls.  ``NgRouteTable.label_count`` counts the labels stored at the end;
 ``max_states`` caps the live labels, which can exceed that final count just
 before a bucket is pruned.
 
-The derived :func:`ng_lower_bound` assembles a simple combinatorial bound on
-the full two-echelon problem from the pricing tables (per-unit route cost
-covering the total demand, plus fleet fixed-cost floors).  It is deliberately
-unsophisticated: a verification aid, not a competitive bounding procedure.
+:func:`bound_report` prices every satellite and assembles from the tables a
+simple combinatorial bound on the full two-echelon problem (per-unit route
+cost covering the total demand, plus fleet fixed-cost floors).  It is
+deliberately unsophisticated: a verification aid, not a competitive bounding
+procedure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, inf
+from math import ceil
 from typing import Optional
 
 from .model import DEPOT_ID, Instance
@@ -247,29 +248,14 @@ def _drop_subset_dominated(
     return dropped
 
 
-def ng_lower_bound(
-    inst: Instance,
-    graph: Multigraph,
-    ng: NgSets,
-    *,
-    max_states: int = 2_000_000,
-) -> int:
-    """Valid lower bound on the optimal total cost (weaker than exact bounding).
+def _bound_from_tables(inst: Instance, tables: dict[int, NgRouteTable]) -> int:
+    """Valid lower bound on the optimal total cost from the per-satellite tables.
 
     Combines two floors and keeps the larger: (a) total demand times the best
     per-unit closed-route cost plus fleet fixed-cost floors, and (b) the cost
     of the single cheapest route plus the first-level trip that must reach its
     satellite.
     """
-    tables = {
-        k: price_ng_routes(inst, graph, k, ng, max_states=max_states)
-        for k in inst.satellite_ids
-    }
-    return _bound_from_tables(inst, tables)
-
-
-def _bound_from_tables(inst: Instance, tables: dict[int, NgRouteTable]) -> int:
-    """The two floors of :func:`ng_lower_bound` from its per-satellite tables."""
     if not inst.customers:
         return 0
     q_tot = inst.total_demand

@@ -20,7 +20,7 @@ from .model import (
     Solution,
     evaluate_cost,
 )
-from .multigraph import LazyMultigraph
+from .multigraph import Multigraph, reduced_multigraph
 
 # entries a per-run memo may hold before it is emptied wholesale
 CACHE_LIMIT = 500_000
@@ -49,7 +49,7 @@ class SolverContext:
     """
 
     inst: Instance
-    graph: LazyMultigraph
+    graph: Multigraph
     sorted_neighbors: dict[int, tuple[int, ...]]  # all peers by distance
     granular: dict[int, tuple[int, ...]]  # first gamma of the above
     granular_set: dict[int, frozenset]  # same, for membership tests
@@ -61,7 +61,7 @@ class SolverContext:
 
     @classmethod
     def build(cls, inst: Instance, gamma: int) -> "SolverContext":
-        graph = LazyMultigraph(inst)
+        graph = reduced_multigraph(inst)
         full = build_neighbor_lists(inst, max(0, len(inst.customers) - 1))
         granular = {c: nbs[:gamma] for c, nbs in full.items()}
         gset = {c: frozenset(nbs) for c, nbs in granular.items()}

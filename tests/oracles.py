@@ -4,7 +4,8 @@ Nothing here may call into the solver paths under test: charging results come
 from exhaustive enumeration over per-leg station choices (with sound
 branch-and-bound pruning only), elementary route optima from exhaustive
 sequence enumeration on top of that, and ng-route tables from the pricing
-recursion without its subset-memory dominance.
+recursion without its subset-memory dominance, and multigraph bundles from
+the definition of their arcs, with the pairwise dominance rule.
 """
 
 from __future__ import annotations
@@ -317,8 +318,6 @@ def price_ng_routes_reference(
     q2 = inst.q2_capacity
     limit = inst.battery_limit
 
-    bundles = graph.bundles
-
     # labels[(vertex, load, memory mask)] -> nondominated [(w, cost)]
     labels: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
     buckets: dict[int, set[tuple[int, int, int]]] = {}
@@ -369,7 +368,7 @@ def price_ng_routes_reference(
                 qn = q + demand[j]
                 if qn > q2:
                     continue
-                opts = bundles.get((i, j))
+                opts = graph.arcs(i, j)
                 if not opts:
                     continue
                 nkey = (j, qn, (mask & nmask[j]) | bit[j])
@@ -393,7 +392,7 @@ def price_ng_routes_reference(
     table: dict[tuple[int, int], int] = {}
     for (i, q, _mask), labs in labels.items():
         entry = table.get((q, i), None)
-        for arc_cost, arc_cons, station, station_leg in bundles.get((i, satellite), ()):
+        for arc_cost, arc_cons, station, station_leg in graph.arcs(i, satellite):
             for w, cost in labs:
                 if limit is not None:
                     need = w + (arc_cons if station is None else station_leg)
@@ -444,6 +443,36 @@ def reduce_bundle(bundle: Sequence[Arc], tail_is_satellite: bool) -> tuple[Arc, 
         for r1 in bundle
         if not any(r2 is not r1 and removable(r1, r2, tail_is_satellite) for r2 in bundle)
     )
+
+
+def multigraph_reference(inst: Instance, reduced: bool) -> dict[tuple[int, int], tuple[Arc, ...]]:
+    """Every admissible pair's bundle, built from the definition.
+
+    The admissible pairs are satellite→customer, customer→satellite and
+    customer→customer with distinct ends.  A pair (i, j) carries the direct
+    arc if its consumption is within range, and one via arc per charging
+    location k not in {i, j} whose two half-legs are both within range.  With
+    an unconstrained battery only direct arcs exist.  Rows are sorted by
+    :func:`sort_key` and, when ``reduced``, thinned by :func:`reduce_bundle`.
+    """
+    limit = inst.battery_limit
+    sats, custs = inst.satellite_ids, inst.customer_ids
+    pairs = [(s, c) for s in sats for c in custs]
+    pairs += [(c, s) for s in sats for c in custs]
+    pairs += [(a, b) for a in custs for b in custs if a != b]
+    out: dict[tuple[int, int], tuple[Arc, ...]] = {}
+    for i, j in pairs:
+        rows = []
+        if limit is None or inst.consumption(i, j) <= limit:
+            rows.append((inst.distance(i, j), inst.consumption(i, j), None, 0))
+        if limit is not None:
+            for k in inst.charging_ids:
+                leg, last = inst.consumption(i, k), inst.consumption(k, j)
+                if k not in (i, j) and leg <= limit and last <= limit:
+                    rows.append((inst.distance(i, k) + inst.distance(k, j), last, k, leg))
+        bundle = tuple(sorted(rows, key=sort_key))
+        out[i, j] = reduce_bundle(bundle, i in sats) if reduced else bundle
+    return out
 
 
 def multigraph_csv(graph: Multigraph) -> str:

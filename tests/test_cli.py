@@ -5,7 +5,11 @@ from click.testing import CliRunner
 
 from e2evrp import bench
 from e2evrp.cli import main
-from e2evrp.model import parse_instance, parse_solution, unservable_customers
+from e2evrp.model import parse_instance, parse_solution, unservable_customers, write_instance
+from e2evrp.multigraph import build_multigraph, reduce_by_dominance
+from e2evrp.ngpricing import NgSets, bound_report
+
+from oracles import metro_instance
 
 TINY = """\
 NAME tiny
@@ -123,6 +127,22 @@ def test_check_rejects_corrupted_solution(tmp_path):
     assert report["ok"] is False and report["violations"]
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize(
+    "text",
+    ["COSTS 1 2 3 x\n", "COSTS 0 0 0 0\nL1: 0 1:zz 0\n", "COSTS 0 0 0 0\nL2: 1 q 1\n"],
+)
+def test_check_non_integer_solution_token_is_a_clean_error(tmp_path, text, as_json):
+    sol = tmp_path / "bad.sol"
+    sol.write_text(text)
+    res = CliRunner().invoke(main, ["check", _write_tiny(tmp_path), str(sol), *(["--json"] * as_json)])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert len(res.output.strip().splitlines()) == 1
+    message = json.loads(res.output)["error"] if as_json else res.output
+    assert "must be an integer" in message
+
+
 def test_check_missing_file_is_machine_readable():
     res = CliRunner().invoke(main, ["check", "/nonexistent/file.txt", "/also/missing.sol", "--json"])
     assert res.exit_code == 2
@@ -182,6 +202,18 @@ def test_bound_cli(tmp_path):
     assert report["lower_bound"] <= cost
 
 
+def test_bound_cli_pins_the_benchmark_bound(tmp_path):
+    inst = metro_instance(10, 5)
+    path = tmp_path / "m10.txt"
+    path.write_text(write_instance(inst))
+    res = CliRunner().invoke(main, ["bound", str(path), "--delta", "3", "--json"])
+    assert res.exit_code == 0, res.output
+    report = json.loads(res.output)
+    assert report["lower_bound"] == 3034
+    eager = bound_report(inst, reduce_by_dominance(build_multigraph(inst)), NgSets.build(inst, delta=3))
+    assert report["satellites"] == eager["satellites"]
+
+
 def test_augment_cli(tmp_path):
     base = tmp_path / "base.txt"
     base.write_text(TINY.replace("400 1", "999999 1"))  # battery irrelevant for the base
@@ -193,6 +225,23 @@ def test_augment_cli(tmp_path):
     inst = parse_instance(out.read_text())
     assert inst.depot == (600, 0)
     assert len(inst.stations) >= 1
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("gamma1", ["inf", "nan", "0"])
+def test_augment_non_finite_gamma1_is_a_clean_error(tmp_path, gamma1, as_json):
+    base = tmp_path / "base.txt"
+    base.write_text(TINY)
+    out = tmp_path / "aug.txt"
+    res = CliRunner().invoke(
+        main, ["augment", str(base), "--gamma1", gamma1, "--out", str(out), *(["--json"] * as_json)]
+    )
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert len(res.output.strip().splitlines()) == 1
+    message = json.loads(res.output)["error"] if as_json else res.output
+    assert "gamma1 must be finite and positive" in message
+    assert not out.exists()
 
 
 def test_solve_missing_instance_errors():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from e2evrp.model import DEPOT_ID, SecondLevelRoute, evaluate_cost, Solution, FirstLevelRoute, CostBreakdown
-from e2evrp.multigraph import LazyMultigraph, Multigraph, build_multigraph, reduce_by_dominance
+from e2evrp.multigraph import Multigraph, build_multigraph, reduce_by_dominance, reduced_multigraph
 from e2evrp.search import SolverContext
 
 from oracles import (
@@ -12,6 +12,7 @@ from oracles import (
     make_instance,
     metro_instance,
     multigraph_csv,
+    multigraph_reference,
     random_instance,
     reduce_bundle,
     removable,
@@ -156,7 +157,7 @@ def test_full_tie_keeps_exactly_one():
         q1=100,
         battery=500,
     )
-    g = Multigraph(inst, {(1, 2): (a, b)})
+    g = Multigraph(inst, lambda i, j: (a, b))
     kept = reduce_by_dominance(g).arcs(1, 2)
     assert kept == (a,)  # lexicographically smallest station id wins
 
@@ -308,7 +309,7 @@ def test_sweep_matches_pairwise_reference():
         tail_is_satellite = n % 2 == 0
         tail, head = (1, 2) if tail_is_satellite else (2, 1)
         bundle = _synthetic_bundle(rng)
-        got = reduce_by_dominance(Multigraph(inst, {(tail, head): bundle})).arcs(tail, head)
+        got = reduce_by_dominance(Multigraph(inst, lambda i, j: bundle)).arcs(tail, head)
         assert got == reduce_bundle(bundle, tail_is_satellite), (tail_is_satellite, bundle)
         via = [a for a in bundle if a[2] is not None]
         if tail_is_satellite:
@@ -345,24 +346,28 @@ def test_golden_metro_multigraph(customers, stations, built, kept, digest):
 
 
 # ---------------------------------------------------------------------------
-# the lazy graph
+# the graphs against their definition, and the lazy graph
 # ---------------------------------------------------------------------------
 
 
 def _assert_forced_lazy_equals_eager(inst):
     """Read every ordered vertex pair from a fresh lazy graph and compare it,
-    row for row, with the eagerly built and reduced graph; returns the number
-    of pairs whose reduction dropped an arc."""
-    eager = reduce_by_dominance(build_multigraph(inst))
-    lazy = LazyMultigraph(inst)
+    row for row, with the eagerly built and reduced graph and with the
+    bundles built from the definition (the raw graph too); returns the
+    number of pairs whose reduction dropped an arc."""
+    full = build_multigraph(inst)
+    eager = reduce_by_dominance(full)
+    lazy = reduced_multigraph(inst)
+    want_full = multigraph_reference(inst, reduced=False)
+    want = multigraph_reference(inst, reduced=True)
     ids = [DEPOT_ID, *inst.satellite_ids, *inst.customer_ids, *inst.station_ids]
     for i in ids:
         for j in ids:
-            assert lazy.arcs(i, j) == eager.arcs(i, j), (i, j)
-    assert sorted(lazy.pairs()) == sorted(eager.pairs())
-    assert {p: lazy.arcs(*p) for p in lazy.pairs()} == eager.bundles
-    assert lazy.arc_count() == eager.arc_count()
-    full = build_multigraph(inst)
+            assert lazy.arcs(i, j) == eager.arcs(i, j) == want.get((i, j), ()), (i, j)
+            assert full.arcs(i, j) == want_full.get((i, j), ()), (i, j)
+    for graph, ref in ((full, want_full), (eager, want), (lazy, want)):
+        assert {p: graph.arcs(*p) for p in graph.pairs()} == {p: b for p, b in ref.items() if b}
+        assert graph.arc_count() == sum(map(len, ref.values()))
     return sum(len(full.arcs(*p)) > len(eager.arcs(*p)) for p in full.pairs())
 
 
@@ -391,7 +396,7 @@ def test_fresh_solver_context_has_built_no_bundle():
 
 def test_inadmissible_pair_reads_empty_without_becoming_a_pair():
     inst = metro_instance(10, 5)
-    g = LazyMultigraph(inst)
+    g = reduced_multigraph(inst)
     s1, s2 = inst.satellite_ids[:2]
     c = inst.customer_ids[0]
     k = inst.station_ids[0]

@@ -4,13 +4,12 @@ import random
 import pytest
 
 from e2evrp import ngpricing
-from e2evrp.multigraph import LazyMultigraph, build_multigraph, reduce_by_dominance
+from e2evrp.multigraph import build_multigraph, reduce_by_dominance, reduced_multigraph
 from e2evrp.ngpricing import (
     NgRouteTable,
     NgSets,
     NgStateSpaceExceeded,
     bound_report,
-    ng_lower_bound,
     price_ng_routes,
 )
 
@@ -144,7 +143,7 @@ def test_state_space_guard_refuses():
 
 def test_bound_empty_instance_is_zero():
     inst = make_instance(customers=(), q2=50, q1=100, battery=100)
-    assert ng_lower_bound(inst, _graph(inst), NgSets.build(inst)) == 0
+    assert bound_report(inst, _graph(inst), NgSets.build(inst))["lower_bound"] == 0
 
 
 def test_bound_exact_on_single_customer():
@@ -160,7 +159,7 @@ def test_bound_exact_on_single_customer():
     )
     # only possible solution: one route 1->2->1 (cost 80 + F2), first level
     # depot->1->depot (cost 60 + F1)
-    bound = ng_lower_bound(inst, _graph(inst), NgSets.build(inst))
+    bound = bound_report(inst, _graph(inst), NgSets.build(inst))["lower_bound"]
     assert bound == 80 + 7 + 60 + 3
 
 
@@ -186,7 +185,8 @@ def test_bound_report_prices_each_satellite_once(monkeypatch):
     monkeypatch.setattr(ngpricing, "price_ng_routes", counting)
     rep = bound_report(inst, graph, ng)
     assert sorted(priced) == sorted(inst.satellite_ids)
-    assert rep["lower_bound"] == ng_lower_bound(inst, graph, ng)
+    tables = {k: price_ng_routes(inst, graph, k, ng) for k in inst.satellite_ids}
+    assert rep["lower_bound"] == ngpricing._bound_from_tables(inst, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +244,8 @@ def test_golden_metro_pricing():
 
 
 def test_lazy_graph_prices_like_eager():
-    """Pricing reads its legs through ``arcs``, so a lazy graph that the
-    pricing itself fills gives the eager graph's tables."""
+    """Pricing reads its legs through ``arcs``, so the lazy reduced graph,
+    filled by the pricing itself, gives the eager graph's tables."""
     rng = random.Random(61)
     instances = [metro_instance(10, 5)] + [
         random_instance(rng, n_c=7, n_s=2, n_r=3, battery=battery, q2=60)
@@ -253,7 +253,7 @@ def test_lazy_graph_prices_like_eager():
     ]
     for inst in instances:
         ng = NgSets.build(inst, delta=3)
-        lazy = LazyMultigraph(inst)
+        lazy = reduced_multigraph(inst)
         for sat in inst.satellite_ids:
             got = price_ng_routes(inst, lazy, sat, ng)
             ref = price_ng_routes(inst, _graph(inst), sat, ng)
