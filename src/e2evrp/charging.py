@@ -163,6 +163,28 @@ def best_insertion(
     return penalized_insertion(inst, graph, satellite, customers)
 
 
+def insertion_lower_bound(
+    inst: Instance, graph: Multigraph, satellite: int, customers: Sequence[int]
+) -> int:
+    """A lower bound on ``cost + penalty`` of :func:`best_insertion`, without the DP.
+
+    Every plan, hard or penalized, pays one row of each leg's bundle, or the
+    raw leg where the bundle is empty, and its penalty is never negative; so
+    the cheapest row of each leg (bundles are sorted by cost) bounds it from
+    below.  With an unconstrained battery the bound is the plan's cost.
+    """
+    if not customers:
+        return 0
+    arcs = graph.arcs
+    total = 0
+    prev = satellite
+    for v in (*customers, satellite):
+        bundle = arcs(prev, v)
+        total += bundle[0][0] if bundle else inst.distance(prev, v)
+        prev = v
+    return total
+
+
 def visits_with_stations(
     customers: Sequence[int], stations: Sequence[tuple[int, int]]
 ) -> tuple[int, ...]:

@@ -7,6 +7,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Optional
 
 import click
 from click.core import ParameterSource
@@ -55,13 +56,35 @@ def _refuse_varied_option(mode: str, family: str) -> None:
         _fail(f"--{name} is what a {family} varies; drop it", False)
 
 
-def _load_instance(path: str, as_json: bool):
+def _read_input(path: str, kind: str, as_json: bool) -> str:
+    """The text of an input file, or exit 2 with one line saying why it cannot be read."""
     try:
-        return parse_instance(Path(path).read_text(encoding="utf-8"))
+        return Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
-        _fail(f"instance file not found: {path}", as_json)
+        _fail(f"{kind} file not found: {path}", as_json)
+    except OSError as exc:  # a directory, or no permission
+        _fail(f"cannot read {kind} file {path}: {exc.strerror}", as_json)
+    except UnicodeDecodeError as exc:
+        _fail(f"{kind} file {path} is not UTF-8 text (byte {exc.start})", as_json)
+
+
+def _load_instance(path: str, as_json: bool):
+    text = _read_input(path, "instance", as_json)
+    try:
+        return parse_instance(text)
     except InstanceError as exc:
         _fail(f"invalid instance {path}: {exc}", as_json)
+
+
+def _check_output(path: Optional[str], option: str, as_json: bool = False) -> None:
+    """Exit 2, before any work starts, when ``path`` cannot be created as a file."""
+    if path is None:
+        return
+    target = Path(path)
+    if target.is_dir():
+        _fail(f"{option} {path} is a directory", as_json)
+    if not target.parent.is_dir():
+        _fail(f"{option} {path}: no directory {target.parent}", as_json)
 
 
 @click.group()
@@ -83,6 +106,10 @@ def main() -> None:
 def solve(instance_path, time_limit, restarts, seed, runs, params_kv, json_out, csv_out, solution_out, as_json):
     """Run the metaheuristic on INSTANCE."""
     inst = _load_instance(instance_path, as_json)
+    for path, option in (
+        (json_out, "--json-out"), (csv_out, "--csv-out"), (solution_out, "--solution-out")
+    ):
+        _check_output(path, option, as_json)
     overrides = {}
     for kv in params_kv:
         if "=" not in kv:
@@ -172,12 +199,15 @@ def generate(which, out_dir, instances, stations, battery, seed, out, full_axis)
     for name, reason in IGNORED_BY_FORM[form].items():
         if _given(name):
             _fail(f"--{name.replace('_', '-')} does not apply {form} --set: {reason}", False)
+    _check_output(out, "--out")
     cfg = bench.MetroGenConfig(
         n_stations=stations, battery=cap, seed=seed, extent_is_semi_axis=not full_axis
     )
     if which is not None:
         mode = SET_MODE[which]
         _refuse_varied_option(mode, f"set {which}")
+        if Path(out_dir).exists() and not Path(out_dir).is_dir():
+            _fail(f"--out-dir {out_dir} is not a directory", False)
         try:
             configs = bench.metro_family(mode, bench.FAMILY_LEVELS[mode], instances, cfg)
         except bench.FamilyError as exc:
@@ -207,6 +237,7 @@ def generate(which, out_dir, instances, stations, battery, seed, out, full_axis)
 def augment(base_path, gamma1, ratio, seed, out, as_json):
     """Add charging stations and a battery capacity to a classical instance."""
     base = _load_instance(base_path, as_json)
+    _check_output(out, "--out", as_json)
     try:
         inst = bench.augment_2evrp_instance(base, gamma1, station_ratio=ratio, seed=seed)
     except ValueError as exc:
@@ -226,10 +257,9 @@ def augment(base_path, gamma1, ratio, seed, out, as_json):
 def check(instance_path, solution_path, as_json):
     """Verify a solution file against an instance; exit 1 on violations."""
     inst = _load_instance(instance_path, as_json)
+    text = _read_input(solution_path, "solution", as_json)
     try:
-        sol = parse_solution(Path(solution_path).read_text(encoding="utf-8"), inst)
-    except FileNotFoundError:
-        _fail(f"solution file not found: {solution_path}", as_json)
+        sol = parse_solution(text, inst)
     except SolutionFormatError as exc:
         _fail(f"invalid solution {solution_path}: {exc}", as_json)
     violations = check_feasibility(inst, sol)
@@ -256,6 +286,7 @@ def check(instance_path, solution_path, as_json):
 def sweep(mode, levels, instances, runs, budget, workers, battery, stations, out):
     """Paired battery-constrained / unconstrained sweep; writes a CSV."""
     _refuse_varied_option(mode, f"{mode} sweep")
+    _check_output(out, "--out")
     if levels is None:
         levels = ",".join(map(str, bench.FAMILY_LEVELS[mode]))
     try:
@@ -309,6 +340,7 @@ def sweep(mode, levels, instances, runs, budget, workers, battery, stations, out
 def bound(instance_path, delta, max_states, json_out, as_json):
     """Lower-bound report from the pricing relaxation."""
     inst = _load_instance(instance_path, as_json)
+    _check_output(json_out, "--json-out", as_json)
     graph = reduced_multigraph(inst)
     ng = NgSets.build(inst, delta=min(delta, max(1, len(inst.customers))))
     try:

@@ -66,8 +66,12 @@ class LnsParams:
             raise ValueError("i_max must be >= 1")
         if self.t_max is None and self.max_restarts is None:
             raise ValueError("set at least one of t_max / max_restarts")
-        if self.t_max is not None and not self.t_max > 0:  # also refuses NaN
-            raise ValueError(f"t_max must be a positive number of seconds, got {self.t_max}")
+        # refuses NaN too; an infinite budget without a restart budget would
+        # never end, and None already means no time limit
+        if self.t_max is not None and not 0 < self.t_max < inf:
+            raise ValueError(
+                f"t_max must be a positive, finite number of seconds (or None), got {self.t_max}"
+            )
         if self.max_restarts is not None and self.max_restarts < 1:
             raise ValueError("max_restarts must be >= 1")
 

@@ -10,17 +10,27 @@ backward and of the demand.
 A candidate move describes each route it touches as a concatenation of up to
 five segments ``(route, first unit, last unit, reversed)`` of the current
 routes.  One evaluator prices a concatenation in O(segments) from the prefix
-sums.  A load-feasible candidate then runs through a two-stage test:
+sums.  A candidate runs through four tests, cheapest first, and is applied
+only when it passes all of them:
 
-1. the frozen-station distance of the touched routes may not grow by more
-   than the filter percentage;
-2. only then are the routes spliced and re-priced exactly with the charging
-   recursion (penalized fallback included), and the move is applied only
-   when the full objective, fixed costs and first level included, strictly
-   improves.
+1. load: every new route fits the vehicle;
+2. filter: the frozen-station distance of the touched routes may not grow by
+   more than the filter percentage;
+3. lower bound: demand moved across satellites must fit the receiving
+   satellite, and the first level is then rebuilt from scratch; the move
+   must improve the full objective, fixed costs and first level included,
+   even with each new route costed at
+   :func:`~e2evrp.charging.insertion_lower_bound`, the cheapest arc of each
+   of its legs;
+4. exact re-price: the routes are spliced and re-priced one by one with the
+   charging recursion (penalized fallback included), each plan replacing its
+   route's bound, and the move is rejected as soon as the remaining bounds
+   cannot make up the loss; it is applied only when the full objective
+   strictly improves.
 
-Tail exchanges (2-opt*) stay within one satellite; moves across satellites
-check satellite capacity and re-cost the first level from scratch.
+The bound never exceeds the plan's ``cost + penalty``, so test 3 rejects only
+moves that test 4 would reject: it saves charging runs and leaves the search
+path as it is.  Tail exchanges (2-opt*) stay within one satellite.
 
 Most evaluations repeat one that already failed on unchanged routes, within
 a call and across the calls of one run, so failures are memoized exactly.
@@ -45,6 +55,7 @@ import random
 import time
 from typing import Optional
 
+from .charging import insertion_lower_bound
 from .search import CACHE_LIMIT, SolverContext, WorkingSolution, build_first_level
 
 # approximate-filter slack: moves may deteriorate the frozen-station distance
@@ -215,8 +226,8 @@ def _cost(st: _LsState, segs: list[Seg]) -> int:
 def _propose(
     ctx: SolverContext, st: _LsState, cands: list[tuple[int, list[Seg], int]]
 ) -> bool:
-    """Distance filter over ``(route, segments, new load)`` candidates, then the
-    exact re-pricing of the spliced routes for moves that pass it."""
+    """Distance filter over ``(route, segments, new load)`` candidates; the
+    spliced routes of a move that passes it go on to ``_commit``."""
     old = new = 0
     for ri, segs, _load in cands:
         old += st.fwd[ri][-1]
@@ -368,6 +379,7 @@ def _commit(
     st: _LsState,
     moves: list[tuple[int, list[Unit], int]],
 ) -> bool:
+    """Tests 3 and 4 of the module docstring; apply the move if it passes."""
     inst = ctx.inst
     sol = st.sol
 
@@ -383,40 +395,48 @@ def _commit(
             if dv > 0 and cap is not None and st.dem.get(k, 0) + dv > cap:
                 return False
 
-    # exact re-pricing of the touched routes
-    f2 = inst.fixed_cost_l2
-    old_part = 0
-    new_part = 0
-    new_plans: list = []
-    for ri, pairs, _load in moves:
-        plan_old = sol.routes[ri].plan
-        old_part += plan_old.cost + plan_old.penalty + f2
-        if not pairs:
-            new_plans.append(None)
-            continue
-        plan = ctx.plan(sol.routes[ri].satellite, tuple(c for c, _ in pairs))
-        new_plans.append(plan)
-        new_part += plan.cost + plan.penalty + f2
-    delta = new_part - old_part
-
+    # the first level, rebuilt from scratch when demand moves between satellites
+    delta = 0
     new_first = None
     if demands_change:
         demands = dict(st.dem)
         for k, dv in delta_dem.items():
             demands[k] = demands.get(k, 0) + dv
-        rebuilt = build_first_level(inst, demands)
-        if rebuilt is None:
+        new_first = build_first_level(inst, demands)
+        if new_first is None:
             return False
-        new_first = rebuilt
-        delta += (
-            rebuilt[1]
-            + inst.fixed_cost_l1 * len(rebuilt[0])
-            - sol.l1_distance
-            - inst.fixed_cost_l1 * len(sol.first_level)
+        f1 = inst.fixed_cost_l1
+        delta = (
+            new_first[1] + f1 * len(new_first[0]) - sol.l1_distance - f1 * len(sol.first_level)
         )
 
-    if delta >= 0:
+    # a lower bound on each new route (an emptied route costs nothing): most
+    # moves that pass the filter cannot improve even at the bound
+    f2 = inst.fixed_cost_l2
+    seqs = []
+    bounds = []
+    for ri, pairs, _load in moves:
+        route = sol.routes[ri]
+        delta -= route.plan.cost + route.plan.penalty + f2
+        seq = tuple(c for c, _ in pairs)
+        seqs.append(seq)
+        bounds.append(
+            insertion_lower_bound(inst, ctx.graph, route.satellite, seq) + f2 if seq else 0
+        )
+    if delta + sum(bounds) >= 0:
         return False
+
+    # exact re-pricing, route by route: each plan replaces its route's bound,
+    # and the move is rejected as soon as the rest cannot make up the loss
+    new_plans: list = []
+    for k, ((ri, _pairs, _load), seq) in enumerate(zip(moves, seqs)):
+        plan = None
+        if seq:
+            plan = ctx.plan(sol.routes[ri].satellite, seq)
+            delta += plan.cost + plan.penalty + f2
+        if delta + sum(bounds[k + 1 :]) >= 0:
+            return False
+        new_plans.append(plan)
 
     for (ri, pairs, load), plan in zip(moves, new_plans):
         route = sol.routes[ri]

@@ -2,11 +2,12 @@ import random
 
 from e2evrp.charging import (
     best_insertion,
+    insertion_lower_bound,
     optimal_insertion,
     penalized_insertion,
     visits_with_stations,
 )
-from e2evrp.multigraph import build_multigraph, reduce_by_dominance
+from e2evrp.multigraph import build_multigraph, reduce_by_dominance, reduced_multigraph
 
 from oracles import (
     brute_force_insertion,
@@ -214,6 +215,50 @@ def test_best_insertion_falls_back_to_penalized():
     )
     res = best_insertion(inst, _graph(inst), 1, [2, 3])
     assert not res.feasible and res.cost is not None and res.excess > 0
+
+
+def test_insertion_lower_bound_never_exceeds_the_plan():
+    """The cheapest row of each leg bounds ``cost + penalty`` of the plan from
+    below: on roomy and tight batteries, on legs whose bundle is empty (the
+    penalized fallback rides the raw leg), and on eager and lazy graphs.  With
+    an unconstrained battery it is the plan's cost."""
+    rng = random.Random(1803)
+    covered = {"penalized": 0, "empty_leg": 0, "below": 0, "unconstrained": 0}
+    for _ in range(300):
+        battery = rng.choice([None, 40, 80, 150, 400])
+        inst = random_instance(
+            rng, n_c=rng.randint(1, 7), n_s=rng.randint(1, 2), n_r=rng.randint(0, 3),
+            span=100, battery=battery,
+        )
+        sat = rng.choice(inst.satellite_ids)
+        seq = list(inst.customer_ids)
+        rng.shuffle(seq)
+        seq = seq[: rng.randint(0, len(seq))]
+        for graph in (_graph(inst), reduced_multigraph(inst), _graph(inst, reduced=False)):
+            plan = best_insertion(inst, graph, sat, seq)
+            bound = insertion_lower_bound(inst, graph, sat, seq)
+            assert bound <= plan.cost + plan.penalty
+            if battery is None:
+                assert bound == plan.cost and plan.penalty == 0
+            if not seq:
+                assert bound == 0
+        legs = list(zip([sat, *seq], [*seq, sat]))
+        covered["penalized"] += not plan.feasible
+        covered["empty_leg"] += bool(seq) and any(not graph.arcs(i, j) for i, j in legs)
+        covered["below"] += bound < plan.cost
+        covered["unconstrained"] += battery is None and bool(seq)
+    assert min(covered.values()) >= 10, covered
+
+    # two legs of this route are out of range: the bound rides them raw, as the plan does
+    inst = make_instance(
+        satellites=((1, (0, 0), None, 5),),
+        customers=((2, (10, 0), 5), (3, (200, 0), 5)),
+        q2=50,
+        q1=100,
+        battery=50,
+    )
+    plan = best_insertion(inst, _graph(inst), 1, [2, 3])
+    assert insertion_lower_bound(inst, _graph(inst), 1, [2, 3]) == plan.cost == 10 + 190 + 200
 
 
 def test_visits_with_stations_interleaving():

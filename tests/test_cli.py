@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from e2evrp import bench
+from e2evrp import bench, cli
 from e2evrp.cli import main
 from e2evrp.model import parse_instance, parse_solution, unservable_customers, write_instance
 from e2evrp.multigraph import build_multigraph, reduce_by_dominance
@@ -377,10 +377,13 @@ def test_generate_refuses_options_of_the_other_form(tmp_path, monkeypatch, args,
         (["solve", "TINY", "--time-limit", "nan"], "t_max"),
         (["sweep", "--mode", "battery", "--levels", "1000", "--budget", "-1"], "--budget"),
         (["sweep", "--mode", "battery", "--levels", "1000", "--budget", "nan"], "--budget"),
+        (["solve", "TINY", "--time-limit", "inf"], "t_max"),
+        (["sweep", "--mode", "battery", "--levels", "1000", "--budget", "inf"], "--budget"),
     ],
 )
 def test_nonpositive_budgets_are_a_clean_error(tmp_path, monkeypatch, args, option):
     monkeypatch.setattr(bench, "sweep", _sweep_must_not_start)
+    monkeypatch.setattr(cli, "lns_run", _sweep_must_not_start)  # an infinite run never returns
     args = [_write_tiny(tmp_path) if a == "TINY" else a for a in args]
     if args[0] == "sweep":
         args += ["--out", str(tmp_path / "s.csv")]
@@ -390,3 +393,70 @@ def test_nonpositive_budgets_are_a_clean_error(tmp_path, monkeypatch, args, opti
     assert option in res.output
     assert len(res.output.strip().splitlines()) == 1
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("bad", ["directory", "binary"])
+@pytest.mark.parametrize(
+    "args, kind",
+    [
+        (["solve", "BAD"], "instance"),
+        (["augment", "BAD", "--gamma1", "3"], "instance"),
+        (["bound", "BAD"], "instance"),
+        (["check", "BAD", "TINY"], "instance"),
+        (["check", "TINY", "BAD"], "solution"),
+    ],
+)
+def test_unreadable_input_file_is_a_clean_error(tmp_path, args, kind, bad, as_json):
+    if bad == "directory":
+        path = tmp_path / "dir.txt"
+        path.mkdir()
+    else:
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(TINY.replace("tiny", "caf\xe9").encode("latin-1"))
+    tiny = _write_tiny(tmp_path)
+    args = [str(path) if a == "BAD" else tiny if a == "TINY" else a for a in args]
+    res = CliRunner().invoke(main, [*args, *(["--json"] * as_json)])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert len(res.output.strip().splitlines()) == 1
+    message = json.loads(res.output)["error"] if as_json else res.output
+    assert f"{kind} file" in message and str(path) in message
+
+
+MISSING = "no-such-dir/out.txt"
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["solve", "TINY", "--restarts", "1", "--json-out", MISSING], "--json-out"),
+        (["solve", "TINY", "--restarts", "1", "--csv-out", MISSING, "--json"], "--csv-out"),
+        (["solve", "TINY", "--restarts", "1", "--solution-out", MISSING], "--solution-out"),
+        (["solve", "TINY", "--restarts", "1", "--solution-out", "."], "--solution-out"),
+        (["bound", "TINY", "--json-out", MISSING], "--json-out"),
+        (["bound", "TINY", "--json-out", MISSING, "--json"], "--json-out"),
+        (["sweep", "--mode", "battery", "--levels", "1000", "--out", MISSING], "--out"),
+        (["generate", "--out", MISSING], "--out"),
+        (["augment", "TINY", "--gamma1", "3", "--out", MISSING], "--out"),
+        (["generate", "--set", "8", "--instances", "1", "--out-dir", "TINY"], "--out-dir"),
+    ],
+)
+def test_output_path_is_checked_before_the_work(tmp_path, monkeypatch, args, option):
+    """An output path that cannot be written is refused before any solve,
+    pricing, sweep or generation starts."""
+    for owner, name in (
+        (cli, "lns_run"), (cli, "bound_report"), (bench, "sweep"),
+        (bench, "generate_metro_instance"), (bench, "augment_2evrp_instance"),
+        (bench, "metro_family"),
+    ):
+        monkeypatch.setattr(owner, name, _sweep_must_not_start)
+    monkeypatch.chdir(tmp_path)
+    args = [_write_tiny(tmp_path) if a == "TINY" else a for a in args]
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert len(res.output.strip().splitlines()) == 1
+    message = json.loads(res.output)["error"] if "--json" in args else res.output
+    assert message.startswith(option) or message.startswith(f"error: {option}")
+    assert {p.name for p in tmp_path.iterdir()} <= {"tiny.txt"}

@@ -47,7 +47,7 @@ def test_params_validation():
     assert (p.p1, p.p2, p.p3_hat, p.p4_hat, p.granularity, p.i_max) == (11, 37, 12, 18, 25, 385)
 
 
-@pytest.mark.parametrize("t_max", [-1.0, 0.0, float("nan"), float("-inf")])
+@pytest.mark.parametrize("t_max", [-1.0, 0.0, float("nan"), float("-inf"), float("inf")])
 def test_params_refuse_nonpositive_time_limit(t_max):
     with pytest.raises(ValueError, match="t_max"):
         LnsParams(t_max=t_max)

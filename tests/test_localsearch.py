@@ -1,7 +1,7 @@
 import random
 import time
 from dataclasses import replace
-from math import ceil
+from math import ceil, inf
 
 from e2evrp import lns
 from e2evrp import localsearch as ls
@@ -313,6 +313,63 @@ def test_memo_matches_reference_scan(monkeypatch):
             v not in customers for r in sol.second_level_routes for v in r.visits
         )
     assert min(covered.values()) >= 5, covered
+
+
+def test_lower_bound_rejects_only_what_repricing_rejects(monkeypatch):
+    """``_commit`` rejects a move at its lower bound only where the exact
+    re-pricing would reject it too: with the bound at minus infinity, so that
+    every move reaching ``_commit`` is re-priced, ``lns_run`` ends in the same
+    solution and counters, on multi-satellite draws with capped satellites,
+    tight batteries (penalized plans included) and unconstrained ones."""
+    real_plan = SolverContext.plan
+    plan_calls = {"bound": 0, "no_bound": 0}
+    penalized = set()
+    side = ["bound"]
+
+    def counted(self, satellite, customers):
+        plan_calls[side[0]] += 1
+        result = real_plan(self, satellite, customers)
+        if not result.feasible:
+            penalized.add(draws)
+        return result
+
+    monkeypatch.setattr(SolverContext, "plan", counted)
+    bounds = {"bound": ls.insertion_lower_bound, "no_bound": lambda *args: -inf}
+    rng = random.Random(1803)
+    covered = {"capped": 0, "tight": 0, "unconstrained": 0}
+    draws = 0
+    while draws < 24:
+        n_s = rng.randint(1, 3)
+        inst = random_instance(
+            rng, n_c=rng.randint(8, 20), n_s=n_s, n_r=3, span=200,
+            battery=rng.choice([None, 180, 200, 400]), q2=60, m2_local=8, m2=24,
+            q1=100, f1=30, f2=rng.choice([0, 40]),
+        )
+        if unservable_customers(inst):
+            continue
+        draws += 1
+        if n_s > 1:
+            cap = ceil(inst.total_demand * 1.1 / n_s)
+            inst = replace(
+                inst, satellites=tuple(replace(s, capacity=cap) for s in inst.satellites)
+            )
+            covered["capped"] += 1
+        params = LnsParams(t_max=None, max_restarts=2, i_max=10, seed=draws)
+        runs = []
+        for name, bound in bounds.items():
+            side[0] = name
+            monkeypatch.setattr(ls, "insertion_lower_bound", bound)
+            sol, stats = lns_run(inst, params)
+            runs.append((write_solution(sol), stats.deterministic_fields()))
+        assert runs[0] == runs[1], draws
+        customers = set(inst.customer_ids)
+        covered["tight"] += draws in penalized or any(
+            v not in customers for r in sol.second_level_routes for v in r.visits
+        )
+        covered["unconstrained"] += inst.battery_capacity is None
+    assert min(covered.values()) >= 5, covered
+    assert len(penalized) >= 3, penalized
+    assert plan_calls["bound"] < plan_calls["no_bound"], plan_calls
 
 
 def test_memo_hazards(monkeypatch):
