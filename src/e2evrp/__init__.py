@@ -17,8 +17,6 @@ from .bench import (
 from .charging import (
     InsertionResult,
     best_insertion,
-    optimal_insertion,
-    penalized_insertion,
     visits_with_stations,
 )
 from .lns import ConstructionError, LnsParams, RunStats, lns_run

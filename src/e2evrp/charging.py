@@ -3,27 +3,25 @@
 Given a route ``satellite, c1, ..., cK-1, satellite`` the choice of at most
 one charging stop per leg reduces to a shortest path with one resource
 (battery consumption) on a small acyclic multigraph whose parallel arcs are
-the surviving multigraph arcs of each leg.  Labels ``(consumption, cost)``
-are propagated in topological order with componentwise dominance, which is
-exact because both resources only accumulate.
+the surviving multigraph arcs of each leg.  One pass propagates labels
+``(consumption, key)`` in topological order with componentwise dominance.
+Each unit of consumption beyond the battery capacity adds one big-M to the
+key and the consumption is capped at the capacity, so
+``key = distance + big_m * excess``; legs whose arc bundle is empty ride the
+raw direct leg.
 
-Two variants share the propagation engine:
-
-* the hard variant discards any label whose consumption would exceed the
-  battery capacity and reports infeasibility when no label survives;
-* the penalized variant converts each unit of excess consumption into a
-  penalty of one big-M, then caps the consumption at the capacity, so the
-  total penalty counts exactly the consumption that could not be covered.
-  Legs whose arc bundle is empty fall back to the raw direct leg.
-
-The big-M exceeds any achievable route distance, so minimizing
-``distance + penalty`` is lexicographic: least excess first, then distance.
+The big-M exceeds any achievable route distance, so comparing keys compares
+``(excess, distance)`` lexicographically.  Future excess only grows with
+consumption and the big-M outweighs any difference in distance, so a label
+no better in consumption and key can never complete better and pruning it
+is exact.  An over-limit label never prunes one within the limit, so a
+feasible placement, when one exists, is found as a battery-hard DP would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .model import Instance
 from .multigraph import Multigraph
@@ -40,7 +38,7 @@ class InsertionResult:
     """
 
     feasible: bool
-    cost: Optional[int]
+    cost: int
     stations: tuple[tuple[int, int], ...]
     excess: int
     penalty: int
@@ -49,118 +47,70 @@ class InsertionResult:
 _EMPTY = InsertionResult(True, 0, (), 0, 0)
 
 
-def _propagate(
-    inst: Instance,
-    graph: Multigraph,
-    satellite: int,
-    customers: Sequence[int],
-    penalized: bool,
-) -> Optional[InsertionResult]:
+def best_insertion(
+    inst: Instance, graph: Multigraph, satellite: int, customers: Sequence[int]
+) -> InsertionResult:
+    """Least-cost placement of at most one charging stop per leg.
+
+    Feasible whenever some placement keeps the battery trace within capacity;
+    otherwise the placement of least excess, then least distance.
+    """
+    if not customers:
+        return _EMPTY
     limit = inst.battery_limit
+    m = inst.big_m
     seq = (satellite, *customers, satellite)
-    # label: (w, dist, excess, parent index, station or None); layers kept
-    # mutually nondominated componentwise in (w, dist, excess) -- the objective
-    # is monotone in each, so a dominated label can never complete better.
-    # Exact ties keep the first-inserted label (arc order is deterministic).
-    layers: list[list[tuple]] = [[(0, 0, 0, -1, None)]]
+    # label: (w, key, parent index, station or None) with key = distance +
+    # big_m * excess; layers kept mutually nondominated in (w, key).  Exact
+    # ties keep the first-inserted label (arc order is deterministic).
+    layers: list[list[tuple]] = [[(0, 0, -1, None)]]
     for leg in range(1, len(seq)):
         i, j = seq[leg - 1], seq[leg]
         options = graph.arcs(i, j)
         if not options:
-            if not penalized:
-                return None
             # no admissible arc at all: ride the raw direct leg and pay for it
             options = ((inst.distance(i, j), inst.consumption(i, j), None, 0),)
-        prev = layers[-1]
         nxt: list[tuple] = []
-        for li, (w, dist, exc, _, _) in enumerate(prev):
+        for li, (w, key, _, _) in enumerate(layers[-1]):
             for cost, cons, station, station_leg in options:
+                key2 = key + cost
                 if station is None:
                     w2 = w + cons
-                    exc2 = exc
                     if limit is not None and w2 > limit:
-                        if not penalized:
-                            continue
-                        exc2 = exc + (w2 - limit)
+                        key2 += (w2 - limit) * m
                         w2 = limit
                 else:
                     entry = w + station_leg
-                    exc2 = exc
                     if limit is not None and entry > limit:
-                        if not penalized:
-                            continue
-                        exc2 = exc + (entry - limit)
+                        key2 += (entry - limit) * m
                     w2 = cons
-                d2 = dist + cost
                 dominated = False
                 for l in nxt:
-                    if l[0] <= w2 and l[1] <= d2 and l[2] <= exc2:
+                    if l[0] <= w2 and l[1] <= key2:
                         dominated = True
                         break
                 if dominated:
                     continue
-                nxt[:] = [
-                    l for l in nxt if not (w2 <= l[0] and d2 <= l[1] and exc2 <= l[2])
-                ]
-                nxt.append((w2, d2, exc2, li, station))
-        if not nxt:
-            return None
+                nxt[:] = [l for l in nxt if not (w2 <= l[0] and key2 <= l[1])]
+                nxt.append((w2, key2, li, station))
         layers.append(nxt)
 
-    m = inst.big_m
-    best = min(layers[-1], key=lambda l: (l[1] + l[2] * m, l[0]))
+    best = min(layers[-1], key=lambda l: (l[1], l[0]))
     stations: list[tuple[int, int]] = []
     label = best
     for leg in range(len(seq) - 1, 0, -1):
-        if label[4] is not None:
-            stations.append((leg, label[4]))
-        label = layers[leg - 1][label[3]]
+        if label[3] is not None:
+            stations.append((leg, label[3]))
+        label = layers[leg - 1][label[2]]
     stations.reverse()
-    excess = best[2]
+    excess, cost = divmod(best[1], m)
     return InsertionResult(
         feasible=excess == 0,
-        cost=best[1],
+        cost=cost,
         stations=tuple(stations),
         excess=excess,
         penalty=excess * m,
     )
-
-
-def optimal_insertion(
-    inst: Instance, graph: Multigraph, satellite: int, customers: Sequence[int]
-) -> InsertionResult:
-    """Least-cost feasible placement of at most one charging stop per leg.
-
-    Returns ``feasible=False`` (cost ``None``) when no placement keeps the
-    battery trace within capacity.
-    """
-    if not customers:
-        return _EMPTY
-    res = _propagate(inst, graph, satellite, customers, penalized=False)
-    if res is None:
-        return InsertionResult(False, None, (), 0, 0)
-    return res
-
-
-def penalized_insertion(
-    inst: Instance, graph: Multigraph, satellite: int, customers: Sequence[int]
-) -> InsertionResult:
-    """Soft-constrained variant: always returns a route, charging excess at big-M."""
-    if not customers:
-        return _EMPTY
-    res = _propagate(inst, graph, satellite, customers, penalized=True)
-    assert res is not None  # penalized propagation cannot dead-end
-    return res
-
-
-def best_insertion(
-    inst: Instance, graph: Multigraph, satellite: int, customers: Sequence[int]
-) -> InsertionResult:
-    """Hard DP first, penalized rerun only when no feasible placement exists."""
-    res = optimal_insertion(inst, graph, satellite, customers)
-    if res.feasible:
-        return res
-    return penalized_insertion(inst, graph, satellite, customers)
 
 
 def insertion_lower_bound(
@@ -168,7 +118,7 @@ def insertion_lower_bound(
 ) -> int:
     """A lower bound on ``cost + penalty`` of :func:`best_insertion`, without the DP.
 
-    Every plan, hard or penalized, pays one row of each leg's bundle, or the
+    Every plan, feasible or not, pays one row of each leg's bundle, or the
     raw leg where the bundle is empty, and its penalty is never negative; so
     the cheapest row of each leg (bundles are sorted by cost) bounds it from
     below.  With an unconstrained battery the bound is the plan's cost.

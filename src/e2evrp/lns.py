@@ -400,8 +400,6 @@ def lns_run(inst: Instance, params: LnsParams) -> tuple[Solution, RunStats]:
         cur = repair(ctx, WorkingSolution(), list(inst.customer_ids), closed, rng)
         if cur is None:
             failures += 1
-            if params.max_restarts is None and not in_budget():
-                break
             continue
         constructed = True
         local_search(ctx, cur, rng, deadline)

@@ -23,7 +23,7 @@ only when it passes all of them:
    :func:`~e2evrp.charging.insertion_lower_bound`, the cheapest arc of each
    of its legs;
 4. exact re-price: the routes are spliced and re-priced one by one with the
-   charging recursion (penalized fallback included), each plan replacing its
+   charging recursion (battery overrun priced at big-M), each plan replacing its
    route's bound, and the move is rejected as soon as the remaining bounds
    cannot make up the loss; it is applied only when the full objective
    strictly improves.

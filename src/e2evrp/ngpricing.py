@@ -56,7 +56,7 @@ class NgSets:
     neighbors: dict[int, frozenset[int]]
 
     @classmethod
-    def build(cls, inst: Instance, delta: int = 12) -> "NgSets":
+    def build(cls, inst: Instance, delta: int) -> "NgSets":
         if delta < 1:
             raise ValueError("delta must be >= 1")
         ids = inst.customer_ids

@@ -22,7 +22,10 @@ from .model import (
 )
 from .multigraph import Multigraph, reduced_multigraph
 
-# entries a per-run memo may hold before it is emptied wholesale
+# entries a per-run memo may hold before it is emptied wholesale.  It counts
+# plans, not bytes: at about 620 bytes a plan the limit is about 300 MB.  A
+# 150 s solve at 200 customers cached 366k plans, so at default budgets the
+# clear does not fire.
 CACHE_LIMIT = 500_000
 
 

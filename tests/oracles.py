@@ -5,7 +5,10 @@ from exhaustive enumeration over per-leg station choices (with sound
 branch-and-bound pruning only), elementary route optima from exhaustive
 sequence enumeration on top of that, and ng-route tables from the pricing
 recursion without its subset-memory dominance, and multigraph bundles from
-the definition of their arcs, with the pairwise dominance rule.
+the definition of their arcs, with the pairwise dominance rule.  The charging
+reference is the two-pass DP that the one-pass ``best_insertion`` replaced:
+a battery-hard pass, then a penalized rerun on three-field labels when the
+hard pass finds no placement.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from math import ceil
 from typing import Optional, Sequence
 
 from e2evrp.bench import MetroGenConfig, generate_metro_instance
+from e2evrp.charging import InsertionResult
 from e2evrp.model import (
     Customer,
     Instance,
@@ -252,6 +256,127 @@ def dense_insertion_cost(
         f = g
     val = min(f)
     return None if val == INF else int(val)
+
+
+# ---------------------------------------------------------------------------
+# Two-pass charging DP reference
+# ---------------------------------------------------------------------------
+
+_EMPTY = InsertionResult(True, 0, (), 0, 0)
+
+
+def _propagate_reference(
+    inst: Instance,
+    graph: Multigraph,
+    satellite: int,
+    customers: Sequence[int],
+    penalized: bool,
+) -> Optional[InsertionResult]:
+    limit = inst.battery_limit
+    seq = (satellite, *customers, satellite)
+    # label: (w, dist, excess, parent index, station or None); layers kept
+    # mutually nondominated componentwise in (w, dist, excess) -- the objective
+    # is monotone in each, so a dominated label can never complete better.
+    # Exact ties keep the first-inserted label (arc order is deterministic).
+    layers: list[list[tuple]] = [[(0, 0, 0, -1, None)]]
+    for leg in range(1, len(seq)):
+        i, j = seq[leg - 1], seq[leg]
+        options = graph.arcs(i, j)
+        if not options:
+            if not penalized:
+                return None
+            # no admissible arc at all: ride the raw direct leg and pay for it
+            options = ((inst.distance(i, j), inst.consumption(i, j), None, 0),)
+        prev = layers[-1]
+        nxt: list[tuple] = []
+        for li, (w, dist, exc, _, _) in enumerate(prev):
+            for cost, cons, station, station_leg in options:
+                if station is None:
+                    w2 = w + cons
+                    exc2 = exc
+                    if limit is not None and w2 > limit:
+                        if not penalized:
+                            continue
+                        exc2 = exc + (w2 - limit)
+                        w2 = limit
+                else:
+                    entry = w + station_leg
+                    exc2 = exc
+                    if limit is not None and entry > limit:
+                        if not penalized:
+                            continue
+                        exc2 = exc + (entry - limit)
+                    w2 = cons
+                d2 = dist + cost
+                dominated = False
+                for l in nxt:
+                    if l[0] <= w2 and l[1] <= d2 and l[2] <= exc2:
+                        dominated = True
+                        break
+                if dominated:
+                    continue
+                nxt[:] = [
+                    l for l in nxt if not (w2 <= l[0] and d2 <= l[1] and exc2 <= l[2])
+                ]
+                nxt.append((w2, d2, exc2, li, station))
+        if not nxt:
+            return None
+        layers.append(nxt)
+
+    m = inst.big_m
+    best = min(layers[-1], key=lambda l: (l[1] + l[2] * m, l[0]))
+    stations: list[tuple[int, int]] = []
+    label = best
+    for leg in range(len(seq) - 1, 0, -1):
+        if label[4] is not None:
+            stations.append((leg, label[4]))
+        label = layers[leg - 1][label[3]]
+    stations.reverse()
+    excess = best[2]
+    return InsertionResult(
+        feasible=excess == 0,
+        cost=best[1],
+        stations=tuple(stations),
+        excess=excess,
+        penalty=excess * m,
+    )
+
+
+def _optimal_insertion_reference(
+    inst: Instance, graph: Multigraph, satellite: int, customers: Sequence[int]
+) -> InsertionResult:
+    """Least-cost feasible placement of at most one charging stop per leg.
+
+    Returns ``feasible=False`` (cost ``None``) when no placement keeps the
+    battery trace within capacity.
+    """
+    if not customers:
+        return _EMPTY
+    res = _propagate_reference(inst, graph, satellite, customers, penalized=False)
+    if res is None:
+        return InsertionResult(False, None, (), 0, 0)
+    return res
+
+
+def _penalized_insertion_reference(
+    inst: Instance, graph: Multigraph, satellite: int, customers: Sequence[int]
+) -> InsertionResult:
+    """Soft-constrained variant: always returns a route, charging excess at big-M."""
+    if not customers:
+        return _EMPTY
+    res = _propagate_reference(inst, graph, satellite, customers, penalized=True)
+    assert res is not None  # penalized propagation cannot dead-end
+    return res
+
+
+def best_insertion_reference(
+    inst: Instance, graph: Multigraph, satellite: int, customers: Sequence[int]
+) -> InsertionResult:
+    """Hard DP first, penalized rerun only when no feasible placement exists."""
+    res = _optimal_insertion_reference(inst, graph, satellite, customers)
+    if res.feasible:
+        return res
+    return _penalized_insertion_reference(inst, graph, satellite, customers)
 
 
 # ---------------------------------------------------------------------------

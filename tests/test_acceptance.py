@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from e2evrp.bench import fit_power_law, sweep
-from e2evrp.charging import optimal_insertion
+from e2evrp.charging import best_insertion
 from e2evrp.lns import LnsParams, lns_run, repair
 from e2evrp.localsearch import local_search
 from e2evrp.model import check_feasibility, parse_instance
@@ -58,7 +58,7 @@ def test_criterion_1_charging_dp_matches_enumeration():
         seq = list(inst.customer_ids)
         rng.shuffle(seq)
         graph = reduce_by_dominance(build_multigraph(inst))
-        res = optimal_insertion(inst, graph, sat, seq)
+        res = best_insertion(inst, graph, sat, seq)
         exc, cost = brute_force_insertion(inst, sat, seq)
         oracle_feasible = cost is not None and exc == 0
         assert res.feasible == oracle_feasible, (inst.name, seq)
@@ -90,8 +90,8 @@ def test_criterion_2_dominance_reduction_is_lossless():
             sat = rng.choice(inst.satellite_ids)
             k = rng.randint(1, len(inst.customers))
             seq = rng.sample(inst.customer_ids, k)
-            a = optimal_insertion(inst, full, sat, seq)
-            b = optimal_insertion(inst, reduced, sat, seq)
+            a = best_insertion(inst, full, sat, seq)
+            b = best_insertion(inst, reduced, sat, seq)
             assert a.feasible == b.feasible
             assert a.cost == b.cost, (inst.name, seq)
             routes += 1

@@ -143,7 +143,7 @@ def test_state_space_guard_refuses():
 
 def test_bound_empty_instance_is_zero():
     inst = make_instance(customers=(), q2=50, q1=100, battery=100)
-    assert bound_report(inst, _graph(inst), NgSets.build(inst))["lower_bound"] == 0
+    assert bound_report(inst, _graph(inst), NgSets.build(inst, delta=12))["lower_bound"] == 0
 
 
 def test_bound_exact_on_single_customer():
@@ -159,7 +159,7 @@ def test_bound_exact_on_single_customer():
     )
     # only possible solution: one route 1->2->1 (cost 80 + F2), first level
     # depot->1->depot (cost 60 + F1)
-    bound = bound_report(inst, _graph(inst), NgSets.build(inst))["lower_bound"]
+    bound = bound_report(inst, _graph(inst), NgSets.build(inst, delta=12))["lower_bound"]
     assert bound == 80 + 7 + 60 + 3
 
 
