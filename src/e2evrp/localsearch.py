@@ -39,14 +39,38 @@ last failed evaluation of the pair.  The tag is the content of the route
 holding i when j sits in the same route; otherwise it is the contents of
 both routes, whether i's route comes first in ``sol.routes`` and, when the
 two routes sit at different satellites, the satellite-demand map with the
-first-level cost.  A handler reads nothing else (plans are the memoized
-charging plans of the contents) and draws no random numbers, so skipping a
-pair whose tag is unchanged leaves the search path, the random stream and
-the result exactly as without the memo.  Route contents are interned to
-integer ids in ``SolverContext.route_ids``: plans cannot stand in for them,
-because two different routes can have equal plans.  The memo holds at most
-one entry per neighborhood and granular pair; the id table is emptied,
-together with the memo, once it exceeds ``CACHE_LIMIT``.
+first-level cost.  A handler's result depends on nothing else (plans are
+the memoized charging plans of the contents; the memo entries that relocate
+reads only spare it evaluations that would fail, see below) and it draws no
+random numbers, so skipping a pair whose tag is unchanged leaves the search
+path, the random stream and the result exactly as without the memo.  Route
+contents are interned to integer ids in ``SolverContext.route_ids``: plans
+cannot stand in for them, because two different routes can have equal plans.
+The memo holds at most one entry per neighborhood and granular pair; the id
+table is emptied, together with the memo, once it exceeds ``CACHE_LIMIT``.
+
+Three more skips leave out handler calls whose result is already known, so
+the search path stays the same:
+
+- structural preconditions: the scan itself tests that a 2-opt pair shares a
+  route, that a 2-opt* pair sits in two routes of one satellite, and that a
+  2-opt or swap pair is in its canonical direction (a symmetric move is left
+  to the reverse pair when that pair is granular too).  These are tested
+  before the memo lookup and write nothing to it, so an entry of the pair
+  from an earlier, admissible state stays in place; the handlers assume them.
+- mirrored entries: 2-opt*(i, j) and 2-opt*(j, i) propose the same two routes
+  in the opposite order, and swap2-1(i, j) and swap2-1(j, i) try the same two
+  exchanges.  The order does not matter: ``_commit`` applies a move exactly
+  when its full delta is negative, and each of its early rejections is
+  taken on lower bounds of that delta (route bounds that never exceed the
+  plans, summed in any order).  So when (i, j) fails, (j, i) is recorded as
+  failed under its own tag, when i is in j's granular list: the memo keeps
+  its bound.
+- shared relocate edges: inserting i before j is inserting i after j's
+  predecessor, and after j is before j's successor.  A relocate entry for i
+  and that neighbour under the current tag means both of its edges failed on
+  these same routes, so ``_try_relocate`` skips that edge.  With an empty memo
+  it skips none.
 """
 
 from __future__ import annotations
@@ -76,13 +100,13 @@ class _LsState:
     is the frozen-station distance from unit 0 to unit k, ``bwd[ri][k]`` the
     same sum walked backwards (unit k, its stop, then unit k-1, ...), and
     ``pref[ri][k]`` the demand of units 1..k.  ``loc`` maps a customer to its
-    (route, unit index), ``route_of`` to its route alone, and ``last[ri]`` is
-    the index of the closing unit.  ``tags[ri][rj]`` is the memo tag (module
-    docstring) of a pair with i in route ri and j in route rj.
+    (route, unit index), ``last[ri]`` is the index of the closing unit and
+    ``sats[ri]`` the route's satellite.  ``tags[ri][rj]`` is the memo tag
+    (module docstring) of a pair with i in route ri and j in route rj.
     """
 
     __slots__ = (
-        "sol", "dist", "units", "fwd", "bwd", "pref", "last", "loc", "route_of", "dem", "tags"
+        "sol", "dist", "units", "fwd", "bwd", "pref", "last", "loc", "sats", "dem", "tags"
     )
 
     def __init__(self, ctx: SolverContext, sol: WorkingSolution):
@@ -98,7 +122,6 @@ class _LsState:
         self.pref: list[list[int]] = []
         self.last: list[int] = []
         self.loc: dict[int, tuple[int, int]] = {}
-        self.route_of: dict[int, int] = {}
         self.dem: dict[int, int] = self.sol.sat_demand()
         ids = ctx.route_ids
         codes = []
@@ -117,7 +140,6 @@ class _LsState:
                 units.append((c, by_leg.get(k + 1)))
                 pref.append(pref[-1] + demand[c])
                 self.loc[c] = (ri, k)
-                self.route_of[c] = ri
             units.append((sat, None))
             fwd, bwd = [0], [0]
             for (pv, ps), (v, s) in zip(units, units[1:]):
@@ -129,7 +151,7 @@ class _LsState:
             self.pref.append(pref)
             self.last.append(len(units) - 1)
         sol = self.sol
-        sats = [route.satellite for route in sol.routes]
+        sats = self.sats = [route.satellite for route in sol.routes]
         demand_key = (tuple(sorted(self.dem.items())), sol.l1_distance, len(sol.first_level))
         self.tags: list[list] = [
             [
@@ -166,7 +188,7 @@ def local_search(
     if not memo:
         memo.update((nb, {c: {} for c in customers}) for nb in _NEIGHBORHOODS)
     st = _LsState(ctx, sol)
-    granular = ctx.granular
+    granular, gset = ctx.granular, ctx.granular_set
     improved = True
     while improved:
         improved = False
@@ -177,21 +199,41 @@ def local_search(
             rng.shuffle(scan)
             handler = _HANDLERS[nb]
             failed = memo[nb]
+            # structural preconditions, tested before the memo lookup, and
+            # whether a failure also fails the reverse pair (module docstring)
+            same_route = nb == "two_opt"
+            same_satellite = nb == "two_opt_star"
+            deferred = same_route or nb == "swap"
+            mirrored = same_satellite or nb == "swap21"
             for i in scan:
                 row = failed[i]
                 seen = row.get
-                route_of = st.route_of
-                tags = st.tags[route_of[i]]
+                loc, sats = st.loc, st.sats
+                li = loc[i]
+                ri = li[0]
+                tags = st.tags[ri]
                 for j in granular[i]:
-                    tag = tags[route_of[j]]
+                    lj = loc[j]
+                    rj = lj[0]
+                    if same_route and rj != ri:
+                        continue
+                    if same_satellite and (rj == ri or sats[rj] != sats[ri]):
+                        continue
+                    if deferred and lj < li and i in gset[j]:
+                        continue
+                    tag = tags[rj]
                     if seen(j) == tag:
                         continue
                     if handler(ctx, st, i, j):
                         improved = True
-                        route_of = st.route_of
-                        tags = st.tags[route_of[i]]
+                        loc, sats = st.loc, st.sats
+                        li = loc[i]
+                        ri = li[0]
+                        tags = st.tags[ri]
                     else:
                         row[j] = tag
+                        if mirrored and i in gset[j]:
+                            failed[j][i] = st.tags[rj][ri]
             if deadline is not None and time.monotonic() >= deadline:
                 return sol
     return sol
@@ -199,7 +241,8 @@ def local_search(
 
 # ---------------------------------------------------------------------------
 # segment evaluation: every neighborhood hands ``_propose`` one segment list
-# per touched route
+# per touched route; the handlers assume the structural preconditions that
+# ``local_search`` tests
 # ---------------------------------------------------------------------------
 
 
@@ -246,13 +289,7 @@ def _propose(
 
 def _try_two_opt(ctx: SolverContext, st: _LsState, i: int, j: int) -> bool:
     ri, pi = st.loc[i]
-    rj, pj = st.loc[j]
-    if ri != rj:
-        return False
-    # symmetric move: let the canonically ordered scan handle it when the
-    # reverse direction is also granular
-    if pi > pj and i in ctx.granular_set[j]:
-        return False
+    _, pj = st.loc[j]
     lo, hi = (pi, pj) if pi < pj else (pj, pi)
     segs = [(ri, 0, lo - 1, False), (ri, lo, hi, True), (ri, hi + 1, st.last[ri], False)]
     return _propose(ctx, st, [(ri, segs, st.sol.routes[ri].load)])
@@ -262,8 +299,6 @@ def _try_two_opt_star(ctx: SolverContext, st: _LsState, i: int, j: int) -> bool:
     ri, pi = st.loc[i]
     rj, pj = st.loc[j]
     routes = st.sol.routes
-    if ri == rj or routes[ri].satellite != routes[rj].satellite:
-        return False
     h1 = st.pref[ri][pi]
     h2 = st.pref[rj][pj]
     l1 = h1 + routes[rj].load - h2
@@ -281,12 +316,25 @@ def _try_relocate(ctx: SolverContext, st: _LsState, i: int, j: int) -> bool:
     ri, pi = st.loc[i]
     rj, pj = st.loc[j]
     routes = st.sol.routes
+    q = ctx.inst.demand[i]
+    l1 = routes[ri].load - q
+    l2 = routes[rj].load + q
+    if ri != rj and l2 > ctx.inst.q2_capacity:
+        return False
     moved = (ri, pi, pi, False)
+    # insert i between unit g and unit g + 1, just before or after j; either
+    # edge is also one of the pair of i and j's neighbour on that side, and is
+    # skipped when that pair failed on these same routes
+    done = ctx.failed_moves["relocate"][i] if ctx.failed_moves else {}
+    tag = st.tags[ri][rj]
+    units = st.units[rj]
+    edges = (pj - 1,) if done.get(units[pj - 1][0]) != tag else ()
+    if done.get(units[pj + 1][0]) != tag:
+        edges += (pj,)
     if ri == rj:
         load = routes[ri].load
         end = st.last[ri]
-        # insert i between unit g and unit g + 1, just before or after j
-        for g in (pj - 1, pj):
+        for g in edges:
             if g == pi - 1 or g == pi:
                 continue  # i already sits there
             if g < pi:
@@ -296,13 +344,8 @@ def _try_relocate(ctx: SolverContext, st: _LsState, i: int, j: int) -> bool:
             if _propose(ctx, st, [(ri, segs, load)]):
                 return True
         return False
-    q = ctx.inst.demand[i]
-    l1 = routes[ri].load - q
-    l2 = routes[rj].load + q
-    if l2 > ctx.inst.q2_capacity:
-        return False
     removed = [(ri, 0, pi - 1, False), (ri, pi + 1, st.last[ri], False)]
-    for g in (pj - 1, pj):
+    for g in edges:
         inserted = [(rj, 0, g, False), moved, (rj, g + 1, st.last[rj], False)]
         if _propose(ctx, st, [(ri, removed, l1), (rj, inserted, l2)]):
             return True
@@ -310,9 +353,6 @@ def _try_relocate(ctx: SolverContext, st: _LsState, i: int, j: int) -> bool:
 
 
 def _try_swap(ctx: SolverContext, st: _LsState, i: int, j: int) -> bool:
-    # symmetric move: defer to the canonically ordered scan when it will occur
-    if st.loc[j] < st.loc[i] and i in ctx.granular_set[j]:
-        return False
     return _exchange(ctx, st, i, j, 1, 1)
 
 

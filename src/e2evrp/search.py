@@ -58,7 +58,8 @@ class SolverContext:
     granular_set: dict[int, frozenset]  # same, for membership tests
     plan_cache: dict = field(default_factory=dict)
     # local search's memo of failed move evaluations and the interned route
-    # contents its tags are made of; see ``localsearch``
+    # contents its tags are made of; the relocate handler also reads the
+    # entries of i's pairs with j's neighbours; see ``localsearch``
     failed_moves: dict = field(default_factory=dict)
     route_ids: dict = field(default_factory=dict)
 

@@ -662,9 +662,27 @@ def expand_arc_route(inst: Instance, legs: Sequence[tuple[int, int, Arc]]) -> Se
 # ---------------------------------------------------------------------------
 
 
+def _structurally_admissible(ctx, st, nb, i, j) -> bool:
+    """The structural preconditions ``local_search`` tests before calling a
+    handler: 2-opt within one route, 2-opt* across two routes of one
+    satellite, and 2-opt and swap left to the pair's canonical direction when
+    the reverse pair is granular too."""
+    (ri, pi), (rj, pj) = st.loc[i], st.loc[j]
+    routes = st.sol.routes
+    if nb == "two_opt" and ri != rj:
+        return False
+    if nb == "two_opt_star" and (ri == rj or routes[ri].satellite != routes[rj].satellite):
+        return False
+    if nb in ("two_opt", "swap") and (rj, pj) < (ri, pi) and i in ctx.granular_set[j]:
+        return False
+    return True
+
+
 def local_search_reference(ctx, sol, rng: random.Random, deadline=None):
-    """``local_search`` without its failed-move memo: every pass evaluates
-    every granular pair of every neighborhood again."""
+    """``local_search`` without its failed-move memo or its mirrored entries:
+    every pass evaluates every structurally admissible granular pair of every
+    neighborhood again.  The context's memo stays empty, so the relocate
+    handler skips no edge either."""
     from e2evrp import localsearch as ls
 
     if not sol.routes:
@@ -683,7 +701,9 @@ def local_search_reference(ctx, sol, rng: random.Random, deadline=None):
             handler = ls._HANDLERS[nb]
             for i in scan:
                 for j in ctx.granular[i]:
-                    if i != j and handler(ctx, st, i, j):
+                    if i != j and _structurally_admissible(ctx, st, nb, i, j) and handler(
+                        ctx, st, i, j
+                    ):
                         improved = True
             if deadline is not None and time.monotonic() >= deadline:
                 return sol

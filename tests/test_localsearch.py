@@ -410,6 +410,70 @@ def test_memo_hazards(monkeypatch):
         assert entries <= len(ls._NEIGHBORHOODS) * len(inst.customers) * gamma
 
 
+def test_no_candidate_is_proposed_twice_between_refreshes(monkeypatch):
+    """Between two refreshes of the scan state (an applied move or a new
+    call) no 2-opt*, swap2-1 or inter-route relocate candidate reaches the
+    filter twice, keyed by its segment lists: the mirrored memo entries and
+    the shared relocate edges leave out every repeat.  Intra-route relocates
+    are left out of the check, because an adjacent relocate can be proposed
+    again as a swap."""
+    version = [0]
+    current = [None]
+    proposed: dict = {}
+    checked = dict.fromkeys(("two_opt_star", "swap21", "relocate"), 0)
+    real_refresh = ls._LsState.refresh
+    real_propose = ls._propose
+
+    def refresh(self, ctx):
+        version[0] += 1
+        real_refresh(self, ctx)
+
+    def propose(ctx, st, cands):
+        nb = current[0]
+        if nb in checked and not (nb == "relocate" and len(cands) == 1):
+            key = tuple(sorted((ri, tuple(segs)) for ri, segs, _load in cands))
+            assert proposed.get(key) != version[0], (nb, key)
+            proposed[key] = version[0]
+            checked[nb] += 1
+        return real_propose(ctx, st, cands)
+
+    monkeypatch.setattr(ls._LsState, "refresh", refresh)
+    monkeypatch.setattr(ls, "_propose", propose)
+    for nb, handler in list(ls._HANDLERS.items()):
+        def labelled(ctx, st, i, j, nb=nb, handler=handler):
+            current[0] = nb
+            return handler(ctx, st, i, j)
+
+        monkeypatch.setitem(ls._HANDLERS, nb, labelled)
+
+    rng = random.Random(4242)
+    covered = {"capped": 0, "tight": 0, "unconstrained": 0}
+    draws = 0
+    while draws < 20:
+        n_s = rng.randint(1, 3)
+        inst = random_instance(
+            rng, n_c=rng.randint(10, 24), n_s=n_s, n_r=3, span=200,
+            battery=rng.choice([None, 200, 250, 400]), q2=60, m2_local=8, m2=24, q1=100, f1=30,
+        )
+        if unservable_customers(inst):
+            continue
+        draws += 1
+        if n_s > 1:
+            cap = ceil(inst.total_demand * 1.1 / n_s)
+            inst = replace(
+                inst, satellites=tuple(replace(s, capacity=cap) for s in inst.satellites)
+            )
+            covered["capped"] += 1
+        covered["unconstrained"] += inst.battery_capacity is None
+        sol, _ = lns_run(inst, LnsParams(t_max=None, max_restarts=1, i_max=10, seed=draws))
+        customers = set(inst.customer_ids)
+        covered["tight"] += any(
+            v not in customers for r in sol.second_level_routes for v in r.visits
+        )
+    assert min(covered.values()) >= 4, covered
+    assert min(checked.values()) >= 1000, checked
+
+
 def _repaired(seed):
     rng = random.Random(seed)
     inst = random_instance(
