@@ -43,7 +43,10 @@ DENSITY_LEVELS = (2, 3, 5, 10, 15, 20, 25, 30, 40, 50)
 BATTERY_LEVELS = tuple(range(800, 1701, 100))
 FAMILY_LEVELS = {"density": DENSITY_LEVELS, "battery": BATTERY_LEVELS}
 VARIED_FIELD = {"density": "n_stations", "battery": "battery"}
+LEAST_LEVEL = {"density": 0, "battery": 1}  # a station count, or a battery capacity
 SEED_WINDOW = range(1, 10_001)  # instance seeds the structural screen may try
+
+DEMAND_LO, DEMAND_HI = 1, 25  # every metro customer's demand is drawn from this range
 
 SWEEP_CSV_HEADER = "level,instance_seed,run_seed,cost_L,cost_inf,detour_pct,station_visits"
 
@@ -76,15 +79,11 @@ class MetroGenConfig:
     n_customers_inner: int = 40
     n_customers_outer: int = 10
     n_satellites: int = 4
-    demand_lo: int = 1
-    demand_hi: int = 25
     depot: Point = (300, 0)
     m1_fleet: int = 6
     q1_capacity: int = 250
     q2_capacity: int = 125
     m2_per_satellite: int = 10
-    fixed_cost_l1: int = 0
-    fixed_cost_l2: int = 0
 
     @property
     def name(self) -> str:
@@ -135,7 +134,7 @@ def generate_metro_instance(cfg: MetroGenConfig) -> Instance:
     points = [_sample(rc, cfg.inner, semi) for _ in range(cfg.n_customers_inner)]
     points += [_sample(rc, cfg.outer, semi) for _ in range(cfg.n_customers_outer)]
     rd = random.Random(f"{cfg.seed}:demands")
-    demands = [rd.randint(cfg.demand_lo, cfg.demand_hi) for _ in points]
+    demands = [rd.randint(DEMAND_LO, DEMAND_HI) for _ in points]
     rs = random.Random(f"{cfg.seed}:satellites")
     sat_points = [
         _sample(rs, cfg.outer, semi, exclude=cfg.inner) for _ in range(cfg.n_satellites)
@@ -157,6 +156,7 @@ def generate_metro_instance(cfg: MetroGenConfig) -> Instance:
     )
     base_r = base_c + len(custs)
     stats = tuple(Station(base_r + i, p) for i, p in enumerate(stat_points))
+    # metro vehicles carry no fixed cost: the Instance default of 0
     return Instance(
         name=cfg.name,
         depot=cfg.depot,
@@ -168,8 +168,6 @@ def generate_metro_instance(cfg: MetroGenConfig) -> Instance:
         q2_capacity=cfg.q2_capacity,
         m2_global=cfg.m2_per_satellite * cfg.n_satellites,
         battery_capacity=cfg.battery,
-        fixed_cost_l1=cfg.fixed_cost_l1,
-        fixed_cost_l2=cfg.fixed_cost_l2,
     )
 
 
@@ -217,6 +215,8 @@ def metro_family(
         raise FamilyError("mode must be 'density' or 'battery'")
     if not levels or len(set(levels)) < len(levels):
         raise FamilyError(f"{mode} levels must be distinct and non-empty, got {list(levels)}")
+    if min(levels) < LEAST_LEVEL[mode]:
+        raise FamilyError(f"{mode} levels must be >= {LEAST_LEVEL[mode]}, got {min(levels)}")
     if instances_per_level < 1:
         raise FamilyError("instances_per_level must be >= 1")
     field = VARIED_FIELD[mode]
@@ -267,11 +267,14 @@ def augment_2evrp_instance(
     ``max(0.6 * gamma1, 2 * gamma2)`` (in scaled units), where ``gamma2`` is
     the largest customer-to-nearest-station distance after placement.
     """
-    if not (math.isfinite(gamma1) and gamma1 > 0):
-        raise ValueError(f"gamma1 must be finite and positive, got {gamma1}")
+    scale = 10
+    if not (gamma1 > 0 and math.isfinite(0.6 * gamma1 * scale)):
+        raise ValueError(
+            f"gamma1 must be finite and positive, and small enough that the scaled "
+            f"battery 0.6 * gamma1 * {scale} is finite, got {gamma1}"
+        )
     if not 0.1 <= station_ratio <= 0.2:
         raise ValueError("station/customer ratio must lie in [1/10, 1/5]")
-    scale = 10
 
     def sc(p: Point) -> Point:
         return (p[0] * scale, p[1] * scale)

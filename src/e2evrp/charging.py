@@ -3,12 +3,15 @@
 Given a route ``satellite, c1, ..., cK-1, satellite`` the choice of at most
 one charging stop per leg reduces to a shortest path with one resource
 (battery consumption) on a small acyclic multigraph whose parallel arcs are
-the surviving multigraph arcs of each leg.  One pass propagates labels
-``(consumption, key)`` in topological order with componentwise dominance.
-Each unit of consumption beyond the battery capacity adds one big-M to the
-key and the consumption is capped at the capacity, so
-``key = distance + big_m * excess``; legs whose arc bundle is empty ride the
-raw direct leg.
+the surviving multigraph arcs of each leg.  One pass walks the legs in
+order and keeps one list of labels ``(consumption, key, stops)``, those of
+the current leg, mutually nondominated in consumption and key; ``stops``
+holds the ``(leg, station)`` pairs the label took, so the best label at the
+end is the placement and nothing is traced back.  Each unit of consumption
+beyond the battery capacity adds one big-M to the key and the consumption
+is capped at the capacity, so ``key = distance + big_m * excess``.  A leg
+with no admissible arc rides its raw direct leg and pays for any overrun;
+the lower bound reads such a leg the same way.
 
 The big-M exceeds any achievable route distance, so comparing keys compares
 ``(excess, distance)`` lexicographically.  Future excess only grows with
@@ -47,6 +50,11 @@ class InsertionResult:
 _EMPTY = InsertionResult(True, 0, (), 0, 0)
 
 
+def _raw_leg(inst: Instance, i: int, j: int) -> tuple[tuple, ...]:
+    """The one row of a leg with no admissible arc: the raw direct leg."""
+    return ((inst.distance(i, j), inst.consumption(i, j), None, 0),)
+
+
 def best_insertion(
     inst: Instance, graph: Multigraph, satellite: int, customers: Sequence[int]
 ) -> InsertionResult:
@@ -59,19 +67,14 @@ def best_insertion(
         return _EMPTY
     limit = inst.battery_limit
     m = inst.big_m
-    seq = (satellite, *customers, satellite)
-    # label: (w, key, parent index, station or None) with key = distance +
-    # big_m * excess; layers kept mutually nondominated in (w, key).  Exact
-    # ties keep the first-inserted label (arc order is deterministic).
-    layers: list[list[tuple]] = [[(0, 0, -1, None)]]
-    for leg in range(1, len(seq)):
-        i, j = seq[leg - 1], seq[leg]
-        options = graph.arcs(i, j)
-        if not options:
-            # no admissible arc at all: ride the raw direct leg and pay for it
-            options = ((inst.distance(i, j), inst.consumption(i, j), None, 0),)
+    # labels mutually nondominated in (w, key); exact ties keep the
+    # first-inserted label (arc order is deterministic)
+    labels: list[tuple] = [(0, 0, ())]
+    prev = satellite
+    for leg, v in enumerate((*customers, satellite), 1):
+        options = graph.arcs(prev, v) or _raw_leg(inst, prev, v)
         nxt: list[tuple] = []
-        for li, (w, key, _, _) in enumerate(layers[-1]):
+        for w, key, stops in labels:
             for cost, cons, station, station_leg in options:
                 key2 = key + cost
                 if station is None:
@@ -92,22 +95,16 @@ def best_insertion(
                 if dominated:
                     continue
                 nxt[:] = [l for l in nxt if not (w2 <= l[0] and key2 <= l[1])]
-                nxt.append((w2, key2, li, station))
-        layers.append(nxt)
+                nxt.append((w2, key2, stops if station is None else (*stops, (leg, station))))
+        labels = nxt
+        prev = v
 
-    best = min(layers[-1], key=lambda l: (l[1], l[0]))
-    stations: list[tuple[int, int]] = []
-    label = best
-    for leg in range(len(seq) - 1, 0, -1):
-        if label[3] is not None:
-            stations.append((leg, label[3]))
-        label = layers[leg - 1][label[2]]
-    stations.reverse()
+    best = min(labels, key=lambda l: (l[1], l[0]))
     excess, cost = divmod(best[1], m)
     return InsertionResult(
         feasible=excess == 0,
         cost=cost,
-        stations=tuple(stations),
+        stations=best[2],
         excess=excess,
         penalty=excess * m,
     )
@@ -129,8 +126,7 @@ def insertion_lower_bound(
     total = 0
     prev = satellite
     for v in (*customers, satellite):
-        bundle = arcs(prev, v)
-        total += bundle[0][0] if bundle else inst.distance(prev, v)
+        total += (arcs(prev, v) or _raw_leg(inst, prev, v))[0][0]
         prev = v
     return total
 

@@ -295,9 +295,6 @@ def sweep(mode, levels, instances, runs, budget, workers, battery, stations, out
         _fail(f"bad --levels {levels!r}, expected comma-separated integers", False)
     if not values:
         _fail(f"bad --levels {levels!r}, expected at least one integer", False)
-    least = 1 if mode == "battery" else 0  # a battery capacity, or a station count
-    if min(values) < least:
-        _fail(f"bad --levels {levels!r}, {mode} levels must be >= {least}", False)
     try:
         params = LnsParams(t_max=budget)
     except ValueError as exc:
@@ -312,7 +309,7 @@ def sweep(mode, levels, instances, runs, budget, workers, battery, stations, out
             workers=workers,
             base_config=bench.MetroGenConfig(n_stations=stations, battery=battery),
         )
-    except bench.FamilyError as exc:  # repeated levels, or too few servable seeds
+    except bench.FamilyError as exc:  # levels too low or repeated, or too few servable seeds
         _fail(f"bad --levels {levels!r}: {exc}", False)
     bench.write_sweep_csv(records, out)
     for rec in records:

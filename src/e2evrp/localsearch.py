@@ -37,17 +37,17 @@ a call and across the calls of one run, so failures are memoized exactly.
 ``SolverContext.failed_moves`` maps neighborhood, i and j to the tag of the
 last failed evaluation of the pair.  The tag is the content of the route
 holding i when j sits in the same route; otherwise it is the contents of
-both routes, whether i's route comes first in ``sol.routes`` and, when the
-two routes sit at different satellites, the satellite-demand map with the
-first-level cost.  A handler's result depends on nothing else (plans are
-the memoized charging plans of the contents; the memo entries that relocate
-reads only spare it evaluations that would fail, see below) and it draws no
-random numbers, so skipping a pair whose tag is unchanged leaves the search
-path, the random stream and the result exactly as without the memo.  Route
-contents are interned to integer ids in ``SolverContext.route_ids``: plans
-cannot stand in for them, because two different routes can have equal plans.
-The memo holds at most one entry per neighborhood and granular pair; the id
-table is emptied, together with the memo, once it exceeds ``CACHE_LIMIT``.
+both routes and, when the two routes sit at different satellites, the
+satellite-demand map with the first-level cost.  A handler's result depends
+on nothing else (plans are the memoized charging plans of the contents; the
+memo entries that relocate reads only spare it evaluations that would fail,
+see below) and it draws no random numbers, so skipping a pair whose tag is
+unchanged leaves the search path, the random stream and the result exactly
+as without the memo.  Route contents are interned to integer ids in
+``SolverContext.route_ids``: plans cannot stand in for them, because two
+different routes can have equal plans.  The memo holds at most one entry
+per neighborhood and granular pair; the id table is emptied, together with
+the memo, once it exceeds ``CACHE_LIMIT``.
 
 Three more skips leave out handler calls whose result is already known, so
 the search path stays the same:
@@ -156,8 +156,8 @@ class _LsState:
         self.tags: list[list] = [
             [
                 ca if a == b
-                else (ca, cb, a < b) if sats[a] == sats[b]
-                else (ca, cb, a < b, demand_key)
+                else (ca, cb) if sats[a] == sats[b]
+                else (ca, cb, demand_key)
                 for b, cb in enumerate(codes)
             ]
             for a, ca in enumerate(codes)
@@ -423,25 +423,22 @@ def _commit(
     inst = ctx.inst
     sol = st.sol
 
-    # satellite capacity for demand that moves across satellites
     delta_dem: dict[int, int] = {}
     for ri, _pairs, load in moves:
         k = sol.routes[ri].satellite
         delta_dem[k] = delta_dem.get(k, 0) + load - sol.routes[ri].load
-    demands_change = any(delta_dem.values())
-    if demands_change:
-        for k, dv in delta_dem.items():
-            cap = inst.satellite_by_id[k].capacity
-            if dv > 0 and cap is not None and st.dem.get(k, 0) + dv > cap:
-                return False
 
-    # the first level, rebuilt from scratch when demand moves between satellites
+    # when demand moves between satellites, the receiving satellites must
+    # hold it and the first level is rebuilt from scratch
     delta = 0
     new_first = None
-    if demands_change:
+    if any(delta_dem.values()):
         demands = dict(st.dem)
         for k, dv in delta_dem.items():
             demands[k] = demands.get(k, 0) + dv
+            cap = inst.satellite_by_id[k].capacity
+            if dv > 0 and cap is not None and demands[k] > cap:
+                return False
         new_first = build_first_level(inst, demands)
         if new_first is None:
             return False

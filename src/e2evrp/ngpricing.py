@@ -3,8 +3,8 @@
 An ng-path may revisit a customer once it has left the path's bounded memory,
 so its least cost per (load, last customer) never exceeds the cost of any
 elementary route with the same signature; with full memory the relaxation
-collapses to elementary optima.  A label is (consumption, cost) stored under
-the key (vertex, load, memory mask).
+collapses to elementary optima.  A label is (consumption, cost); labels are
+kept per load bucket, ``by_load[q][(vertex, memory mask)]``.
 
 Dominance (Baldacci, Mingozzi & Roberti 2011, Operations Research 59(5)): a
 label dominates another at the same vertex and load when its memory is a
@@ -35,6 +35,7 @@ procedure.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
@@ -110,17 +111,15 @@ def price_ng_routes(
     # builds the ones it has not built yet
     bundles = {(i, j): graph.arcs(i, j) for i in custs for j in (*custs, satellite)}
 
-    # labels[(vertex, load, memory mask)] -> nondominated [(w, cost)]
-    labels: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
-    buckets: dict[int, set[tuple[int, int, int]]] = {}
+    # by_load[load][(vertex, memory mask)] -> nondominated [(w, cost)]
+    by_load: defaultdict[int, dict[tuple[int, int], list[tuple[int, int]]]] = defaultdict(dict)
     count = 0
 
-    def push(key: tuple[int, int, int], w: int, cost: int) -> None:
+    def push(bucket: dict, key: tuple[int, int], w: int, cost: int) -> None:
         nonlocal count
-        labs = labels.get(key)
+        labs = bucket.get(key)
         if labs is None:
-            labels[key] = [(w, cost)]
-            buckets.setdefault(key[1], set()).add(key)
+            bucket[key] = [(w, cost)]
             count += 1
             if count > max_states:
                 raise NgStateSpaceExceeded(f"more than {max_states} labels")
@@ -143,18 +142,16 @@ def price_ng_routes(
         for arc_cost, arc_cons, _, _ in graph.arcs(satellite, c):
             # leaving the satellite fully charged, arrival consumption is the
             # arc's own consumption for both arc kinds
-            push((c, demand[c], bit[c]), arc_cons, arc_cost)
+            push(by_load[demand[c]], (c, bit[c]), arc_cons, arc_cost)
 
     # transitions strictly increase the load, so sweeping loads upward visits
     # every reachable state after all its predecessors
     for q in range(1, q2 + 1):
-        keys = buckets.get(q)
-        if not keys:
+        bucket = by_load.get(q)
+        if not bucket:
             continue
-        count -= _drop_subset_dominated(labels, keys)
-        for key in sorted(keys):
-            i, _q, mask = key
-            labs = labels[key]
+        count -= _drop_subset_dominated(bucket)
+        for (i, mask), labs in sorted(bucket.items()):
             for j in custs:
                 if mask & bit[j]:
                     continue  # memory forbids an immediate revisit
@@ -164,14 +161,15 @@ def price_ng_routes(
                 opts = bundles.get((i, j))
                 if not opts:
                     continue
-                nkey = (j, qn, (mask & nmask[j]) | bit[j])
+                nbucket = by_load[qn]
+                nkey = (j, (mask & nmask[j]) | bit[j])
                 for arc_cost, arc_cons, station, station_leg in opts:
                     if station is None:
                         for w, cost in labs:
                             w2 = w + arc_cons
                             if limit is not None and w2 > limit:
                                 continue
-                            push(nkey, w2, cost + arc_cost)
+                            push(nbucket, nkey, w2, cost + arc_cost)
                     else:
                         best = None
                         for w, cost in labs:
@@ -180,37 +178,35 @@ def price_ng_routes(
                             ):
                                 best = cost
                         if best is not None:
-                            push(nkey, arc_cons, best + arc_cost)
+                            push(nbucket, nkey, arc_cons, best + arc_cost)
 
     table: dict[tuple[int, int], int] = {}
-    for (i, q, _mask), labs in labels.items():
-        entry = table.get((q, i), None)
-        for arc_cost, arc_cons, station, station_leg in bundles.get((i, satellite), ()):
-            for w, cost in labs:
-                if limit is not None:
-                    need = w + (arc_cons if station is None else station_leg)
-                    if need > limit:
-                        continue
-                total = cost + arc_cost
-                if entry is None or total < entry:
-                    entry = total
-        if entry is not None:
-            table[(q, i)] = entry
+    for q, bucket in by_load.items():
+        for (i, _mask), labs in bucket.items():
+            entry = table.get((q, i), None)
+            for arc_cost, arc_cons, station, station_leg in bundles.get((i, satellite), ()):
+                for w, cost in labs:
+                    if limit is not None:
+                        need = w + (arc_cons if station is None else station_leg)
+                        if need > limit:
+                            continue
+                    total = cost + arc_cost
+                    if entry is None or total < entry:
+                        entry = total
+            if entry is not None:
+                table[(q, i)] = entry
     return NgRouteTable(satellite, table, count)
 
 
-def _drop_subset_dominated(
-    labels: dict[tuple[int, int, int], list[tuple[int, int]]],
-    keys: set[tuple[int, int, int]],
-) -> int:
+def _drop_subset_dominated(bucket: dict[tuple[int, int], list[tuple[int, int]]]) -> int:
     """Drop the labels of one load bucket that a label at the same vertex with
     a subset memory dominates; return how many were dropped.
 
-    Keys left without labels leave both ``labels`` and ``keys``.
+    Keys left without labels leave the bucket.
     """
-    by_vertex: dict[int, list[tuple[int, tuple[int, int, int]]]] = {}
-    for key in keys:
-        by_vertex.setdefault(key[0], []).append((key[2].bit_count(), key))
+    by_vertex: dict[int, list[tuple[int, tuple[int, int]]]] = {}
+    for key in bucket:
+        by_vertex.setdefault(key[0], []).append((key[1].bit_count(), key))
     dropped = 0
     emptied = []
     for ranked in by_vertex.values():
@@ -222,16 +218,16 @@ def _drop_subset_dominated(
             size, kb = ranked[b]
             if size != ranked[b - 1][0]:
                 first = b
-            mb = kb[2]
+            mb = kb[1]
             doms = [
                 lab
                 for _, ka in ranked[:first]
-                if not ka[2] & ~mb
-                for lab in labels[ka]
+                if not ka[1] & ~mb
+                for lab in bucket[ka]
             ]
             if not doms:
                 continue
-            labs = labels[kb]
+            labs = bucket[kb]
             keep = [
                 (w, cost)
                 for w, cost in labs
@@ -243,8 +239,7 @@ def _drop_subset_dominated(
                 if not keep:
                     emptied.append(kb)
     for kb in emptied:
-        del labels[kb]
-        keys.discard(kb)
+        del bucket[kb]
     return dropped
 
 

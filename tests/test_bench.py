@@ -116,6 +116,17 @@ def test_set_configs():
     assert digest(s8) == "93bac2c5020ef4d820da895cef33764411b0d7e7"
 
 
+@pytest.mark.parametrize("mode, level", [("density", -2), ("battery", 0)])
+def test_family_levels_below_the_least_are_refused(monkeypatch, mode, level):
+    # refused before any seed is screened, so no instance is generated
+    def must_not_generate(cfg):
+        raise AssertionError(f"generated {cfg.name}")
+
+    monkeypatch.setattr(bench, "generate_metro_instance", must_not_generate)
+    with pytest.raises(bench.FamilyError, match=f"{mode} levels must be >= .*got {level}"):
+        metro_family(mode, [level], 1)
+
+
 def test_feasible_seed_screening():
     from e2evrp.bench import feasible_metro_seeds
     from e2evrp.model import unservable_customers

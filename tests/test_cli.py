@@ -228,7 +228,7 @@ def test_augment_cli(tmp_path):
 
 
 @pytest.mark.parametrize("as_json", [False, True])
-@pytest.mark.parametrize("gamma1", ["inf", "nan", "0"])
+@pytest.mark.parametrize("gamma1", ["inf", "nan", "0", "1e308"])
 def test_augment_non_finite_gamma1_is_a_clean_error(tmp_path, gamma1, as_json):
     base = tmp_path / "base.txt"
     base.write_text(TINY)
