@@ -344,6 +344,8 @@ def bound(instance_path, delta, max_states, json_out, as_json):
         report = bound_report(inst, graph, ng, max_states=max_states)
     except NgStateSpaceExceeded as exc:
         _fail(f"state space too large: {exc} (lower --delta or raise --max-states)", as_json, code=4)
+    except ValueError as exc:
+        _fail(f"no bound for {instance_path}: {exc}", as_json)
     text = json.dumps(report, indent=2)
     if json_out:
         Path(json_out).write_text(text + "\n", encoding="utf-8")

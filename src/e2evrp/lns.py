@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import inf
 from typing import Optional
 
@@ -97,11 +97,7 @@ class RunStats:
 
     def to_json_dict(self) -> dict:
         return {
-            "best_cost": self.best_cost,
-            "iterations": self.iterations,
-            "restarts": self.restarts,
-            "construction_failures": self.construction_failures,
-            "best_iteration": self.best_iteration,
+            **asdict(self),
             "time_to_best": round(self.time_to_best, 3),
             "total_time": round(self.total_time, 3),
         }
@@ -123,23 +119,18 @@ def _ceil_div(a: int, b: int) -> int:
 def destroy_related(
     ctx: SolverContext, sol: WorkingSolution, pending: list[int], rng: random.Random, p1: int
 ) -> None:
-    """Remove a random seed customer plus some of its nearest neighbors."""
-    routed = [c for r in sol.routes for c in r.customers]
-    if not routed:
-        return
+    """Remove a random seed customer plus its ``count - 1`` nearest neighbors.
+
+    ``sol`` routes every customer: destroy runs only on repaired solutions,
+    and local search never drops a customer.  The seed is drawn from the
+    customers in route order.
+    """
     cap = _ceil_div(p1 * len(ctx.inst.customers), 100)
     if cap < 1:
         return
     count = rng.randint(1, cap)
-    seed = rng.choice(routed)
-    routed_set = set(routed)
-    targets = [seed]
-    for nb in ctx.sorted_neighbors[seed]:
-        if len(targets) >= count:
-            break
-        if nb in routed_set:
-            targets.append(nb)
-    _remove_customers(ctx, sol, targets, pending)
+    seed = rng.choice([c for r in sol.routes for c in r.customers])
+    _remove_customers(ctx, sol, [seed, *ctx.sorted_neighbors[seed][: count - 1]], pending)
 
 
 def destroy_routes(

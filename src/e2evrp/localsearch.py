@@ -353,19 +353,17 @@ def _try_relocate(ctx: SolverContext, st: _LsState, i: int, j: int) -> bool:
 
 
 def _try_swap(ctx: SolverContext, st: _LsState, i: int, j: int) -> bool:
-    return _exchange(ctx, st, i, j, 1, 1)
+    return _exchange(ctx, st, i, j, 1)
 
 
 def _try_swap21(ctx: SolverContext, st: _LsState, i: int, j: int) -> bool:
-    if _exchange(ctx, st, i, j, 2, 1):
+    if _exchange(ctx, st, i, j, 2):
         return True
-    return _exchange(ctx, st, j, i, 2, 1)
+    return _exchange(ctx, st, j, i, 2)
 
 
-def _exchange(
-    ctx: SolverContext, st: _LsState, i: int, j: int, len1: int, len2: int
-) -> bool:
-    """Exchange the ``len1`` customers starting at i with the ``len2`` at j."""
+def _exchange(ctx: SolverContext, st: _LsState, i: int, j: int, len1: int) -> bool:
+    """Exchange the ``len1`` customers starting at i with customer j."""
     r1, s1 = st.loc[i]
     r2, s2 = st.loc[j]
     e1 = st.last[r1]
@@ -373,7 +371,7 @@ def _exchange(
         return False
     routes = st.sol.routes
     if r1 == r2:
-        a, la, b, lb = (s1, len1, s2, len2) if s1 < s2 else (s2, len2, s1, len1)
+        a, la, b, lb = (s1, len1, s2, 1) if s1 < s2 else (s2, 1, s1, len1)
         if a + la > b:
             return False  # overlapping segments
         segs = [(r1, 0, a - 1, False), (r1, b, b + lb - 1, False)]
@@ -381,22 +379,19 @@ def _exchange(
             segs.append((r1, a + la, b - 1, False))
         segs += [(r1, a, a + la - 1, False), (r1, b + lb, e1, False)]
         return _propose(ctx, st, [(r1, segs, routes[r1].load)])
-    e2 = st.last[r2]
-    if s2 + len2 > e2:
-        return False
-    pref1, pref2 = st.pref[r1], st.pref[r2]
+    pref1 = st.pref[r1]
     d1 = pref1[s1 + len1 - 1] - pref1[s1 - 1]
-    d2 = pref2[s2 + len2 - 1] - pref2[s2 - 1]
+    d2 = ctx.inst.demand[j]
     l1 = routes[r1].load - d1 + d2
     l2 = routes[r2].load - d2 + d1
     q2cap = ctx.inst.q2_capacity
     if l1 > q2cap or l2 > q2cap:
         return False
     seg1 = (r1, s1, s1 + len1 - 1, False)
-    seg2 = (r2, s2, s2 + len2 - 1, False)
+    seg2 = (r2, s2, s2, False)
     return _propose(ctx, st, [
         (r1, [(r1, 0, s1 - 1, False), seg2, (r1, s1 + len1, e1, False)], l1),
-        (r2, [(r2, 0, s2 - 1, False), seg1, (r2, s2 + len2, e2, False)], l2),
+        (r2, [(r2, 0, s2 - 1, False), seg1, (r2, s2 + 1, st.last[r2], False)], l2),
     ])
 
 

@@ -224,10 +224,6 @@ class FirstLevelRoute:
 
     stops: tuple[tuple[int, int], ...]
 
-    @property
-    def load(self) -> int:
-        return sum(q for _, q in self.stops)
-
 
 @dataclass(frozen=True)
 class SecondLevelRoute:
@@ -306,9 +302,6 @@ def check_feasibility(inst: Instance, sol: Solution) -> list[str]:
         n = seen.get(c, 0)
         if n != 1:
             out.append(f"customer {c} visited {n} times (expected exactly once)")
-    for v, n in seen.items():
-        if v not in customers:
-            out.append(f"unknown customer id {v}")
 
     # second-level route structure
     sat_dispatch: dict[int, int] = {s: 0 for s in inst.satellite_ids}

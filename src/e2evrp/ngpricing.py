@@ -43,6 +43,7 @@ from typing import Optional
 
 from .model import DEPOT_ID, Instance
 from .multigraph import Multigraph
+from .search import build_neighbor_lists
 
 
 class NgStateSpaceExceeded(RuntimeError):
@@ -58,14 +59,12 @@ class NgSets:
 
     @classmethod
     def build(cls, inst: Instance, delta: int) -> "NgSets":
+        """Memories of ``delta`` members: each customer and its ``delta - 1``
+        nearest peers, as ranked by :func:`~e2evrp.search.build_neighbor_lists`."""
         if delta < 1:
             raise ValueError("delta must be >= 1")
-        ids = inst.customer_ids
-        nb: dict[int, frozenset[int]] = {}
-        for i in ids:
-            ranked = sorted((inst.distance(i, j), j) for j in ids if j != i)
-            nb[i] = frozenset([i, *(j for _, j in ranked[: delta - 1])])
-        return cls(delta, nb)
+        nbs = build_neighbor_lists(inst, delta - 1)
+        return cls(delta, {i: frozenset([i, *peers]) for i, peers in nbs.items()})
 
 
 @dataclass(frozen=True)
@@ -137,8 +136,6 @@ def price_ng_routes(
         labs[:] = keep
 
     for c in custs:
-        if demand[c] > q2:
-            continue
         for arc_cost, arc_cons, _, _ in graph.arcs(satellite, c):
             # leaving the satellite fully charged, arrival consumption is the
             # arc's own consumption for both arc kinds
@@ -285,7 +282,13 @@ def bound_report(
     *,
     max_states: int = 2_000_000,
 ) -> dict:
-    """JSON-friendly summary: per-satellite pricing digests plus the global bound."""
+    """JSON-friendly summary: per-satellite pricing digests plus the global bound.
+
+    Raises ``ValueError`` when the instance has customers but no satellite
+    to serve them from.
+    """
+    if inst.customers and not inst.satellites:
+        raise ValueError("instance has customers but no satellite to serve them")
     tables = {
         k: price_ng_routes(inst, graph, k, ng, max_states=max_states)
         for k in inst.satellite_ids

@@ -30,13 +30,19 @@ CACHE_LIMIT = 500_000
 
 
 def build_neighbor_lists(inst: Instance, gamma: int) -> dict[int, tuple[int, ...]]:
-    """Granular move lists: for each customer its gamma closest customers.
+    """For each customer its gamma closest customers, nearest first.
 
-    Distance ties break on id so the lists are reproducible.
+    This is the one ranking of customers by distance: it gives the granular
+    move lists of local search, the peers that ``lns.destroy_related``
+    removes with a seed customer, and the ng memories of
+    :meth:`~e2evrp.ngpricing.NgSets.build`.  Distance ties break on id so
+    the lists are reproducible.
     """
+    ids = inst.customer_ids
     out: dict[int, tuple[int, ...]] = {}
-    for i in inst.customer_ids:
-        ranked = sorted((inst.distance(i, j), j) for j in inst.customer_ids if j != i)
+    for i in ids:
+        row = inst._dist[i]
+        ranked = sorted((row[j], j) for j in ids if j != i)
         out[i] = tuple(j for _, j in ranked[:gamma])
     return out
 

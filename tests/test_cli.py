@@ -125,6 +125,10 @@ def test_check_rejects_corrupted_solution(tmp_path):
     assert chk.exit_code == 1
     report = json.loads(chk.output)
     assert report["ok"] is False and report["violations"]
+    # text mode lists the same violations, one a line
+    plain = CliRunner().invoke(main, ["check", inst_path, str(tmp_path / "broken.sol")])
+    assert plain.exit_code == 1
+    assert plain.output.splitlines() == [f"violation: {v}" for v in report["violations"]]
 
 
 @pytest.mark.parametrize("as_json", [False, True])
@@ -292,6 +296,90 @@ def test_bound_zero_delta_is_a_clean_error(tmp_path):
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
     assert "--delta" in res.output
+
+
+NO_SATELLITE = """\
+NAME nosat
+LEVEL1 1 100
+LEVEL2 1 50 0 400
+DEPOT 0 0
+SATELLITES 0
+CUSTOMERS 1
+1 10 10 5
+STATIONS 0
+"""
+
+
+def _one_line_error(res, as_json, code=2):
+    """The message of a clean error exit: one line, plain or as JSON."""
+    assert res.exit_code == code, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert len(res.output.strip().splitlines()) == 1
+    return json.loads(res.output)["error"] if as_json else res.output
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_bound_without_satellites_is_a_clean_error(tmp_path, as_json):
+    path = tmp_path / "nosat.txt"
+    path.write_text(NO_SATELLITE)
+    res = CliRunner().invoke(main, ["bound", str(path), *(["--json"] * as_json)])
+    assert "customers but no satellite" in _one_line_error(res, as_json)
+    # with no customer either there is nothing to serve: the bound is 0
+    path.write_text(NO_SATELLITE.replace("CUSTOMERS 1\n1 10 10 5\n", "CUSTOMERS 0\n"))
+    res = CliRunner().invoke(main, ["bound", str(path), "--json"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["lower_bound"] == 0
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_bound_state_cap_exits_4(tmp_path, as_json):
+    res = CliRunner().invoke(
+        main, ["bound", _write_tiny(tmp_path), "--max-states", "1", *(["--json"] * as_json)]
+    )
+    assert "state space too large" in _one_line_error(res, as_json, code=4)
+
+
+def test_bound_json_out_writes_the_report(tmp_path):
+    inst = _write_tiny(tmp_path)
+    out = tmp_path / "bound.json"
+    res = CliRunner().invoke(main, ["bound", inst, "--delta", "3", "--json-out", str(out)])
+    assert res.exit_code == 0, res.output
+    report = json.loads(out.read_text())
+    assert res.output.strip() == f"lower bound {report['lower_bound']} -> {out}"
+    shown = CliRunner().invoke(main, ["bound", inst, "--delta", "3", "--json"])
+    assert json.loads(shown.output) == report
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_solve_construction_failure_names_the_seed(tmp_path, as_json):
+    path = tmp_path / "no-l2-fleet.txt"
+    path.write_text(TINY.replace(" - 6\n", " - 0\n"))  # no satellite may send a vehicle
+    res = CliRunner().invoke(
+        main, ["solve", str(path), "--restarts", "1", "--seed", "7", *(["--json"] * as_json)]
+    )
+    message = _one_line_error(res, as_json, code=3)
+    assert "run with seed 7 failed: construction failed" in message
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize(
+    "kv, expected", [("i_max", "expected KEY=VALUE"), ("foo=1", "unknown parameter 'foo'")]
+)
+def test_solve_bad_param_is_a_clean_error(tmp_path, monkeypatch, kv, expected, as_json):
+    monkeypatch.setattr(cli, "lns_run", _sweep_must_not_start)
+    res = CliRunner().invoke(
+        main, ["solve", _write_tiny(tmp_path), "--param", kv, *(["--json"] * as_json)]
+    )
+    assert expected in _one_line_error(res, as_json)
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_solve_malformed_instance_is_a_clean_error(tmp_path, monkeypatch, as_json):
+    monkeypatch.setattr(cli, "lns_run", _sweep_must_not_start)
+    path = tmp_path / "bad.txt"
+    path.write_text(TINY.replace("DEPOT 60 0", "DEPOT 60"))
+    res = CliRunner().invoke(main, ["solve", str(path), *(["--json"] * as_json)])
+    assert f"invalid instance {path}: line 4" in _one_line_error(res, as_json)
 
 
 def test_sweep_empty_levels_is_a_clean_error(tmp_path):

@@ -95,6 +95,10 @@ def test_parse_sample_instance():
     assert inst.satellite_by_id[2].capacity == 150
     assert inst.total_demand == 115
     assert inst.charging_ids == (1, 2, 7)
+    assert inst.consumption_factor == 1
+    # a LEVEL2 line without the factor reads as factor 1
+    no_factor = parse_instance(SAMPLE.replace("LEVEL2 4 125 7 300 1", "LEVEL2 4 125 7 300"))
+    assert no_factor == inst
 
 
 def test_roundtrip_is_byte_stable():
@@ -130,6 +134,27 @@ def test_malformed_section_reports_line():
     bad = SAMPLE.replace("DEPOT -10 0", "DEPOT -10")
     with pytest.raises(InstanceError, match="line 5"):
         parse_instance(bad)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (SAMPLE[: SAMPLE.index("STATIONS")], "unexpected end of file, expected STATIONS"),
+        (SAMPLE[: SAMPLE.index("5 80 10 25")], "unexpected end of file inside customer section"),
+        (SAMPLE.replace("DEPOT -10 0", "DEPOTS -10 0"), "line 5: expected DEPOT section, got 'DEPOTS'"),
+        (SAMPLE.replace("7 50 0", "7 50 0 1"), "line 15: station row expects 3 fields"),
+        (SAMPLE.replace("300 1", "300 x"), "line 4: bad consumption factor 'x'"),
+        (SAMPLE.replace("300 1", "300 1/0"), "line 4: bad consumption factor '1/0'"),
+        (SAMPLE.replace("300 1", "300 0"), "line 4: consumption factor must be positive"),
+        (SAMPLE + "STATIONS 0\n", "line 16: unexpected trailing content 'STATIONS'"),
+    ],
+    ids=["eof-before-section", "eof-in-section", "section-name", "row-width",
+         "bad-factor", "factor-over-zero", "zero-factor", "trailing"],
+)
+def test_parse_instance_errors_name_the_line(text, message):
+    with pytest.raises(InstanceError) as err:
+        parse_instance(text)
+    assert str(err.value) == message
 
 
 def test_negative_demand_rejected():
@@ -321,6 +346,33 @@ def test_fleet_and_flow_violations():
     assert any("exceeds capacity 15" in v for v in msgs)
 
 
+@pytest.mark.parametrize(
+    "first, second, message",
+    [
+        (None, [(9, (2,), 10)], "route 0 (satellite 9): unknown satellite"),
+        (None, [(1, (2, 99), 10)], "route 0 (satellite 1): unknown vertex 99"),
+        (None, [(1, (0, 2), 10)], "route 0 (satellite 1): unknown vertex 0"),
+        (None, [(1, (2,), 7)], "route 0 (satellite 1): stored load 7 != visited demand 10"),
+        ([((9, 10),)], None, "first-level route 0: unknown satellite 9"),
+        ([((1, 10), (1, 0))], None, "first-level route 0: non-positive delivery 0"),
+        ([((1, 150),)], None, "first-level route 0: load 150 exceeds Q1=100"),
+        ([((1, 1),)] * 11, None, "11 first-level routes exceed fleet 10"),
+    ],
+    ids=["l2-satellite", "l2-vertex", "l2-depot", "l2-load",
+         "l1-satellite", "l1-delivery", "l1-load", "l1-fleet"],
+)
+def test_route_violations_are_named(first, second, message):
+    inst = _one_route_instance()
+    sol = _solution_for(inst)
+    routes = sol.second_level_routes if second is None else tuple(
+        SecondLevelRoute(*r) for r in second
+    )
+    trips = sol.first_level_routes if first is None else tuple(
+        FirstLevelRoute(stops) for stops in first
+    )
+    assert message in check_feasibility(inst, Solution(trips, routes, sol.cost))
+
+
 def test_cost_mismatch_detected():
     inst = _one_route_instance()
     sol = _solution_for(inst)
@@ -372,3 +424,13 @@ def test_solution_parse_rejects_malformed():
         parse_solution("L1: 0 1:5 0\n")  # missing COSTS
     with pytest.raises(SolutionFormatError):
         parse_solution("COSTS 0 0 0 0\nL2: 1 5 2\n")  # mismatched endpoints
+    for text, message in (
+        ("COSTS 1 2 3\n", "line 1: COSTS expects 4 integers"),
+        ("COSTS 0 0 0 0\nL1: 1 1:5 0\n", "line 2: L1 route must start and end at depot"),
+        ("COSTS 0 0 0 0\nL1: 0 1 0\n", "line 2: expected sat:qty, got '1'"),
+        ("COSTS 0 0 0 0\nL2: 1\n", "line 2: L2 route needs satellite ids"),
+        ("COSTS 0 0 0 0\nL3: 1 5 1\n", "line 2: unknown record 'L3:'"),
+    ):
+        with pytest.raises(SolutionFormatError) as err:
+            parse_solution(text)
+        assert str(err.value) == message
