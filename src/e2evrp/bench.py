@@ -87,8 +87,11 @@ class MetroGenConfig:
 
     @property
     def name(self) -> str:
+        """``metro-r<stations>-L<battery>-s<seed>``, with ``-full`` appended
+        when the extents are full axes, so the two layouts never share a name."""
         battery = "inf" if self.battery is None else self.battery
-        return f"metro-r{self.n_stations}-L{battery}-s{self.seed}"
+        full = "" if self.extent_is_semi_axis else "-full"
+        return f"metro-r{self.n_stations}-L{battery}-s{self.seed}{full}"
 
 
 STANDARD_METRO = MetroGenConfig(n_stations=20, battery=1000)
@@ -433,6 +436,9 @@ def sweep(
         for rseed in range(1, runs_per_instance + 1)
     ]
 
+    # a process pool forks all its workers at once, so it asks for no more
+    # than there are jobs
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(_sweep_job, jobs))

@@ -30,7 +30,7 @@ from .model import Instance
 from .multigraph import Multigraph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InsertionResult:
     """Outcome of a charging-insertion run.
 
@@ -38,6 +38,11 @@ class InsertionResult:
     joins sequence position ``l-1`` to ``l`` (position 0 and K being the
     satellite).  ``excess`` is the total battery overrun in scaled units and
     ``penalty`` its big-M cost equivalent; both are 0 for feasible results.
+
+    A plan compares and hashes by identity.  The plan cache gives each route
+    content its own plan object, so local search uses a route's plan as the
+    route's name in its memo tags; two different routes can have plans that
+    are equal field for field, and those must not compare equal.
     """
 
     feasible: bool

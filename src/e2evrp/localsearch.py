@@ -43,11 +43,16 @@ on nothing else (plans are the memoized charging plans of the contents; the
 memo entries that relocate reads only spare it evaluations that would fail,
 see below) and it draws no random numbers, so skipping a pair whose tag is
 unchanged leaves the search path, the random stream and the result exactly
-as without the memo.  Route contents are interned to integer ids in
-``SolverContext.route_ids``: plans cannot stand in for them, because two
-different routes can have equal plans.  The memo holds at most one entry
-per neighborhood and granular pair; the id table is emptied, together with
-the memo, once it exceeds ``CACHE_LIMIT``.
+as without the memo.
+
+A route's content is named by its plan object, which compares by identity:
+``SolverContext.plan`` hands out one object per content, and every route
+holds the plan of its own content.  A tag holds references to its plans, so
+a plan it names stays alive and no other content can come to own it.  A
+content priced again after the plan cache is emptied gets a new plan, so its
+old entries merely miss.  The memo needs no clearing of its own: an entry is
+written only for a granular pair or its mirror, so it holds at most one
+entry per neighborhood and granular pair.
 
 Three more skips leave out handler calls whose result is already known, so
 the search path stays the same:
@@ -80,7 +85,7 @@ import time
 from typing import Optional
 
 from .charging import insertion_lower_bound
-from .search import CACHE_LIMIT, SolverContext, WorkingSolution, build_first_level
+from .search import SolverContext, WorkingSolution, build_first_level
 
 # approximate-filter slack: moves may deteriorate the frozen-station distance
 # of the touched routes by at most 3% before the exact re-evaluation
@@ -103,6 +108,8 @@ class _LsState:
     (route, unit index), ``last[ri]`` is the index of the closing unit and
     ``sats[ri]`` the route's satellite.  ``tags[ri][rj]`` is the memo tag
     (module docstring) of a pair with i in route ri and j in route rj.
+    Every route must hold its current plan: ``local_search`` completes the
+    plans first, and ``_commit`` gives each route it changes its new plan.
     """
 
     __slots__ = (
@@ -123,16 +130,9 @@ class _LsState:
         self.last: list[int] = []
         self.loc: dict[int, tuple[int, int]] = {}
         self.dem: dict[int, int] = self.sol.sat_demand()
-        ids = ctx.route_ids
-        codes = []
         for ri, route in enumerate(self.sol.routes):
             sat = route.satellite
-            content = (sat, tuple(route.customers))
-            code = ids.get(content)
-            if code is None:
-                code = ids[content] = len(ids)
-            codes.append(code)
-            by_leg = dict(route.plan.stations) if route.plan else {}
+            by_leg = dict(route.plan.stations)
             # the stop on leg l trails unit l-1 (unit 0 is the satellite)
             units = [(sat, by_leg.get(1))]
             pref = [0]
@@ -152,15 +152,16 @@ class _LsState:
             self.last.append(len(units) - 1)
         sol = self.sol
         sats = self.sats = [route.satellite for route in sol.routes]
+        plans = [route.plan for route in sol.routes]
         demand_key = (tuple(sorted(self.dem.items())), sol.l1_distance, len(sol.first_level))
         self.tags: list[list] = [
             [
-                ca if a == b
-                else (ca, cb) if sats[a] == sats[b]
-                else (ca, cb, demand_key)
-                for b, cb in enumerate(codes)
+                pa if a == b
+                else (pa, pb) if sats[a] == sats[b]
+                else (pa, pb, demand_key)
+                for b, pb in enumerate(plans)
             ]
-            for a, ca in enumerate(codes)
+            for a, pa in enumerate(plans)
         ]
 
 
@@ -182,9 +183,6 @@ def local_search(
     sol.ensure_plans(ctx)
     customers = list(ctx.inst.customer_ids)
     memo = ctx.failed_moves
-    if len(ctx.route_ids) > CACHE_LIMIT:
-        ctx.route_ids.clear()
-        memo.clear()
     if not memo:
         memo.update((nb, {c: {} for c in customers}) for nb in _NEIGHBORHOODS)
     st = _LsState(ctx, sol)

@@ -627,6 +627,8 @@ def parse_solution(text: str, inst: Optional[Instance] = None) -> Solution:
     for lineno, toks in _tokens(text):
         head = toks[0].upper()
         if head == "COSTS":
+            if costs is not None:
+                raise SolutionFormatError(f"line {lineno}: duplicate COSTS record")
             if len(toks) != 5:
                 raise SolutionFormatError(f"line {lineno}: COSTS expects 4 integers")
             vals = [num(t, lineno, "cost") for t in toks[1:]]

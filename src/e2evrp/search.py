@@ -22,10 +22,9 @@ from .model import (
 )
 from .multigraph import Multigraph, reduced_multigraph
 
-# entries a per-run memo may hold before it is emptied wholesale.  It counts
-# plans, not bytes: at about 620 bytes a plan the limit is about 300 MB.  A
-# 150 s solve at 200 customers cached 366k plans, so at default budgets the
-# clear does not fire.
+# plans the per-run plan cache may hold before it is emptied wholesale.  At
+# about 620 bytes a plan the limit is about 300 MB.  A 150 s solve at 200
+# customers cached 366k plans, so at default budgets the clear does not fire.
 CACHE_LIMIT = 500_000
 
 
@@ -52,9 +51,9 @@ class SolverContext:
     """Per-run data shared by destroy, repair and local search.
 
     The instance and the neighbour lists stay fixed for the run.  The graph
-    builds each arc bundle on its first read, and the three memos below fill
-    in as the search runs; all of them are pure functions of the instance,
-    so they save work without changing any result.
+    builds each arc bundle on its first read, and the two memos below fill
+    in as the search runs; both are pure functions of the instance, so they
+    save work without changing any result.
     """
 
     inst: Instance
@@ -63,11 +62,10 @@ class SolverContext:
     granular: dict[int, tuple[int, ...]]  # first gamma of the above
     granular_set: dict[int, frozenset]  # same, for membership tests
     plan_cache: dict = field(default_factory=dict)
-    # local search's memo of failed move evaluations and the interned route
-    # contents its tags are made of; the relocate handler also reads the
-    # entries of i's pairs with j's neighbours; see ``localsearch``
+    # local search's memo of failed move evaluations, tagged with the plans
+    # of the routes they ran on; the relocate handler also reads the entries
+    # of i's pairs with j's neighbours; see ``localsearch``
     failed_moves: dict = field(default_factory=dict)
-    route_ids: dict = field(default_factory=dict)
 
     @classmethod
     def build(cls, inst: Instance, gamma: int) -> "SolverContext":

@@ -89,6 +89,8 @@ def test_axis_interpretation_switch_shrinks_regions():
         xs = [c.location[0] for c in inst.customers]
         return max(xs) - min(xs)
     assert spread(semi) > spread(full)
+    # the two layouts never share a name; the default name is unchanged
+    assert semi.name == "metro-r5-L1000-s5" and full.name == "metro-r5-L1000-s5-full"
     # default outer ellipse spans the full 2000 x 1000 metropolitan area
     xs = [c.location[0] for c in semi.customers]
     assert max(xs) > 1500 or min(xs) < 500
@@ -308,6 +310,31 @@ def test_sweep_battery_mode_and_worker_determinism(tmp_path):
     seq = sweep([300, 500], "battery", workers=1, **kwargs)
     par = sweep([300, 500], "battery", workers=2, **kwargs)
     assert seq == par  # ordering and content deterministic across pool sizes
+
+
+def test_sweep_asks_for_no_more_processes_than_jobs(monkeypatch):
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", InProcessPool)
+    kwargs = dict(params=_tiny_params(), base_config=_tiny_cfg(), workers=8)
+    two = sweep([300], "battery", instances_per_level=1, runs_per_instance=2, **kwargs)
+    assert pools == [2]
+    one = sweep([300], "battery", instances_per_level=1, runs_per_instance=1, **kwargs)
+    assert pools == [2]  # one job runs in-process: no pool is opened
+    assert one[0].runs == two[0].runs[:1]
 
 
 def test_unconstrained_run_never_visits_stations():

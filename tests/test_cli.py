@@ -78,6 +78,8 @@ def test_generate_set_honours_the_fixed_option(tmp_path):
     for f in files:
         inst = parse_instance(f.read_text())
         assert inst.battery_capacity == 900 and unservable_customers(inst) == []
+        # named apart from the default layout, so the two sets never overwrite
+        assert inst.name == f.stem and inst.name.endswith("-full")
 
 
 def test_solve_runs_and_reports(tmp_path):

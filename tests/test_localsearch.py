@@ -1,9 +1,9 @@
 import random
 import time
-from dataclasses import replace
+from dataclasses import astuple, replace
 from math import ceil, inf
 
-from e2evrp import lns
+from e2evrp import lns, search
 from e2evrp import localsearch as ls
 from e2evrp.lns import LnsParams, lns_run, repair
 from e2evrp.localsearch import local_search
@@ -373,9 +373,10 @@ def test_lower_bound_rejects_only_what_repricing_rejects(monkeypatch):
 
 
 def test_memo_hazards(monkeypatch):
-    """Route identity comes from interned contents, not plans; emptying the id
-    table at its limit keeps the search exact; the memo keeps its bound."""
-    # two different routes with equal plans get different ids and tags
+    """Routes are named by their plan objects, not by plan values; emptying
+    the plan cache while the memo holds older plans keeps the search exact;
+    the memo keeps its bound."""
+    # two different routes with equal plans are different plans with different tags
     inst = make_instance(
         satellites=((1, (0, 0), None, 5),),
         customers=((2, (10, 0), 5), (3, (0, 10), 5)),
@@ -385,19 +386,25 @@ def test_memo_hazards(monkeypatch):
     )
     ctx = _ctx(inst)
     sol = _complete(ctx, WorkingSolution([WorkingRoute(1, [2], 5), WorkingRoute(1, [3], 5)]))
-    assert sol.routes[0].plan == sol.routes[1].plan
+    a, b = sol.routes[0].plan, sol.routes[1].plan
+    assert astuple(a) == astuple(b) and a is not b
     st = ls._LsState(ctx, sol)
-    assert len(ctx.route_ids) == 2 and st.tags[0][0] != st.tags[1][1]
+    assert st.tags[0][0] != st.tags[1][1]
 
-    # with a limit of 10 ids, table and memo are emptied many times a run
-    monkeypatch.setattr(ls, "CACHE_LIMIT", 10)
+    # with a limit of 10 plans, the plan cache is emptied many times a run
+    # while the memo still holds plans from before
+    monkeypatch.setattr(search, "CACHE_LIMIT", 10)
     contexts = []
 
     def memoized(ctx, sol, rng, deadline):
         contexts.append(ctx)
         return local_search(ctx, sol, rng, deadline)
 
+    def plans(tag):
+        return tag[:2] if isinstance(tag, tuple) else (tag,)
+
     rng = random.Random(99)
+    stale = 0
     for seed in range(6):
         inst = random_instance(
             rng, n_c=rng.randint(10, 20), n_s=2, n_r=3, span=200, battery=400, q2=60,
@@ -406,8 +413,11 @@ def test_memo_hazards(monkeypatch):
         _same_runs(monkeypatch, inst, params, memoized)
         ctx = contexts[-1]
         gamma = len(ctx.granular[inst.customer_ids[0]])
-        entries = sum(len(row) for rows in ctx.failed_moves.values() for row in rows.values())
-        assert entries <= len(ls._NEIGHBORHOODS) * len(inst.customers) * gamma
+        tags = [tag for rows in ctx.failed_moves.values() for row in rows.values() for tag in row.values()]
+        assert len(tags) <= len(ls._NEIGHBORHOODS) * len(inst.customers) * gamma
+        cached = set(ctx.plan_cache.values())
+        stale += any(plan not in cached for tag in tags for plan in plans(tag))
+    assert stale == 6, stale
 
 
 def test_no_candidate_is_proposed_twice_between_refreshes(monkeypatch):

@@ -430,6 +430,7 @@ def test_solution_parse_rejects_malformed():
         ("COSTS 0 0 0 0\nL1: 0 1 0\n", "line 2: expected sat:qty, got '1'"),
         ("COSTS 0 0 0 0\nL2: 1\n", "line 2: L2 route needs satellite ids"),
         ("COSTS 0 0 0 0\nL3: 1 5 1\n", "line 2: unknown record 'L3:'"),
+        ("COSTS 0 0 0 0\nL2: 1 5 1\nCOSTS 1 1 1 1\n", "line 3: duplicate COSTS record"),
     ):
         with pytest.raises(SolutionFormatError) as err:
             parse_solution(text)
