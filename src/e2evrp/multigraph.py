@@ -20,23 +20,20 @@ of it, with their distances.  Distances are symmetric, so the via arcs of
 pair (i, j) are the entries k of i's reach map that also lie in j's, and no
 pair × station distance is queried.
 
-Arc bundles are then thinned by a dominance rule that is sensitive to the
-tail type: leaving a satellite the battery is always full, so only (cost,
-arrival consumption) matter; leaving a customer the approach leg to the
-station also matters, and direct arcs are never compared against via arcs.
-Of arcs tied on every compared field the one first in the sort order above
-survives.  The reduction is a sort-and-sweep over each bundle:
+Arc bundles are then thinned by one dominance rule whose only tail
+sensitivity is the approach leg: leaving a satellite the battery is always
+full, so every station leg is read as 0 there; leaving a customer the leg
+matters, and direct arcs are never compared against via arcs.  The
+reduction is a sort-and-sweep over each bundle: at a customer tail every
+direct arc is kept; every other arc is ranked by (cost, consumption, leg,
+station), with the direct arc as station -1, and kept iff no arc kept
+before it has both consumption and leg at most its own.  With zero legs
+this keeps an arc iff its consumption is strictly below that of the last
+arc kept.  Of arcs tied on every compared field the one first in the rank
+survives.  Survivors are emitted in their original bundle order.
 
-* satellite tail: in that sort order, keep an arc iff its consumption is
-  strictly below that of the last arc kept;
-* customer tail: keep every direct arc; take the via arcs in
-  (cost, consumption, station leg, station) order and keep one iff no arc
-  kept before it has both consumption and station leg at most its own.
-
-Survivors are emitted in their original bundle order.
-
-One class, :class:`Multigraph`, serves every use.  It is given a per-pair
-row builder; it builds an admissible pair's bundle (satellite↔customer or
+One class, :class:`Multigraph`, serves every use: a memo over a per-pair
+row builder.  It builds an admissible pair's bundle (satellite↔customer or
 customer→customer) on the first ``arcs`` call for that pair and memoizes
 it.  Every other pair (sat→sat, i→i, the depot, stations) reads as ``()``
 and is memoized without appearing in ``pairs()``; ``pairs()`` and
@@ -45,18 +42,17 @@ built.  The solver and the ``bound`` command read the lazy reduced graph of
 :func:`reduced_multigraph`: it computes only the reach maps up front and
 reduces each bundle as it builds it, so a bundle the search never reads is
 never built.  The benchmark and the tests time and count the two steps
-apart, on eager graphs: :func:`build_multigraph` forces every admissible
-pair's raw rows in one fixed order -- per satellite s and customer c,
-(s, c) then (c, s), then every customer pair -- and
-:func:`reduce_by_dominance` reduces every bundle a graph has built, in its
-order, so the reduction of a forced graph is forced too.
+apart, on the eager form of the memo: :func:`build_multigraph` fills every
+admissible pair's raw rows in one fixed order -- per satellite s and
+customer c, (s, c) then (c, s), then every customer pair -- and
+:func:`reduce_by_dominance` fills the reduced graph with every bundle a
+graph has built, in its order, and reduces any other pair on its first read.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import product
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 from .model import Instance
 
@@ -68,7 +64,8 @@ class Multigraph:
     """Per ordered pair, the arc rows sorted by cost ascending, built on first read.
 
     ``rows(tail, head)`` gives an admissible pair's bundle; ``bundles``
-    memoizes every pair read so far, an inadmissible one as ``()``.
+    memoizes every pair read so far, an inadmissible one as ``()``, and the
+    eager builders below fill it directly.
     """
 
     def __init__(self, inst: Instance, rows: Callable[[int, int], tuple[Arc, ...]]):
@@ -81,15 +78,11 @@ class Multigraph:
         self._heads = dict.fromkeys(inst.satellite_ids, custs)
         self._heads.update(dict.fromkeys(custs, custs | frozenset(inst.satellite_ids)))
 
-    def _admissible(self, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-        """The pairs that carry arcs, satellite↔customer or customer→customer."""
-        heads = self._heads
-        return [p for p in pairs if p[0] != p[1] and p[1] in heads.get(p[0], ())]
-
     def arcs(self, tail: int, head: int) -> tuple[Arc, ...]:
         bundle = self.bundles.get((tail, head))
         if bundle is None:
-            bundle = self._rows(tail, head) if self._admissible([(tail, head)]) else ()
+            admissible = tail != head and head in self._heads.get(tail, ())
+            bundle = self._rows(tail, head) if admissible else ()
             self.bundles[tail, head] = bundle
         return bundle
 
@@ -98,26 +91,6 @@ class Multigraph:
 
     def arc_count(self) -> int:
         return sum(len(b) for b in self.bundles.values())
-
-    def force(self) -> "Multigraph":
-        """Build every admissible bundle and return the graph.
-
-        The order is fixed: per satellite s and customer c, (s, c) then
-        (c, s), then every customer pair.
-        """
-        custs = self.instance.customer_ids
-        order = []
-        for s in self.instance.satellite_ids:
-            for c in custs:
-                order += (s, c), (c, s)
-        order += product(custs, custs)
-        return self._build(order)
-
-    def _build(self, pairs: Iterable[tuple[int, int]]) -> "Multigraph":
-        """Build the bundles of the admissible ones among ``pairs``, in order."""
-        rows = self._rows
-        self.bundles.update({pair: rows(*pair) for pair in self._admissible(pairs)})
-        return self
 
 
 def _pair_builder(inst: Instance) -> Callable[[int, int], tuple[Arc, ...]]:
@@ -165,8 +138,14 @@ def _pair_builder(inst: Instance) -> Callable[[int, int], tuple[Arc, ...]]:
 
 
 def build_multigraph(inst: Instance) -> Multigraph:
-    """Every admissible pair's bundle, pre-filtered by battery range."""
-    return Multigraph(inst, _pair_builder(inst)).force()
+    """Every admissible pair's bundle, pre-filtered by battery range, in a fixed order."""
+    rows = _pair_builder(inst)
+    graph = Multigraph(inst, rows)
+    custs = inst.customer_ids
+    order = [pair for s in inst.satellite_ids for c in custs for pair in ((s, c), (c, s))]
+    order += [(i, j) for i in custs for j in custs if i != j]
+    graph.bundles.update({pair: rows(*pair) for pair in order})
+    return graph
 
 
 def reduced_multigraph(inst: Instance) -> Multigraph:
@@ -176,46 +155,28 @@ def reduced_multigraph(inst: Instance) -> Multigraph:
     return Multigraph(inst, lambda i, j: _reduce_bundle(rows(i, j), i in sats))
 
 
-def _sweep_satellite_tail(bundle: Sequence[Arc]) -> list[int]:
-    """Positions of the survivors in a bundle leaving a satellite."""
+def _reduce_bundle(bundle: tuple[Arc, ...], satellite_tail: bool) -> tuple[Arc, ...]:
+    """The bundle's arcs that no parallel arc dominates, in bundle order."""
+    if len(bundle) <= 1:
+        return bundle
     keep = []
-    last = None
-    for _, cons, _, p in sorted([
-        (cost, cons, -1 if station is None else station, p)
-        for p, (cost, cons, station, _) in enumerate(bundle)
-    ]):
-        if last is None or cons < last:
-            keep.append(p)
-            last = cons
-    return keep
-
-
-def _sweep_customer_tail(bundle: Sequence[Arc]) -> list[int]:
-    """Positions of the survivors in a bundle leaving a customer."""
-    keep = []
-    via = []
+    ranked = []  # (cost, consumption, leg, station, position); the direct arc is station -1
     for p, (cost, cons, station, leg) in enumerate(bundle):
-        if station is None:
-            keep.append(p)
+        if station is not None:
+            ranked.append((cost, cons, 0 if satellite_tail else leg, station, p))
+        elif satellite_tail:
+            ranked.append((cost, cons, 0, -1, p))
         else:
-            via.append((cost, cons, leg, station, p))
-    via.sort()
-    front: list[tuple[int, int]] = []  # (consumption, station leg) of kept via arcs
-    for _, cons, leg, _, p in via:
+            keep.append(p)
+    ranked.sort()
+    front: list[tuple[int, int]] = []  # (consumption, leg) of the ranked arcs kept
+    for _, cons, leg, _, p in ranked:
         for f_cons, f_leg in front:
             if f_cons <= cons and f_leg <= leg:
                 break
         else:
             keep.append(p)
             front.append((cons, leg))
-    return keep
-
-
-def _reduce_bundle(bundle: tuple[Arc, ...], satellite_tail: bool) -> tuple[Arc, ...]:
-    """The bundle's arcs that no parallel arc dominates, in bundle order."""
-    if len(bundle) <= 1:
-        return bundle
-    keep = (_sweep_satellite_tail if satellite_tail else _sweep_customer_tail)(bundle)
     keep.sort()
     return tuple([bundle[p] for p in keep])
 
@@ -229,4 +190,7 @@ def reduce_by_dominance(graph: Multigraph) -> Multigraph:
     arcs = graph.arcs
     sats = frozenset(graph.instance.satellite_ids)
     reduced = Multigraph(graph.instance, lambda i, j: _reduce_bundle(arcs(i, j), i in sats))
-    return reduced._build(graph.bundles)
+    reduced.bundles.update(
+        {pair: _reduce_bundle(bundle, pair[0] in sats) for pair, bundle in graph.bundles.items()}
+    )
+    return reduced

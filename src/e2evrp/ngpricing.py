@@ -246,7 +246,7 @@ def _bound_from_tables(inst: Instance, tables: dict[int, NgRouteTable]) -> int:
     Combines two floors and keeps the larger: (a) total demand times the best
     per-unit closed-route cost plus fleet fixed-cost floors, and (b) the cost
     of the single cheapest route plus the first-level trip that must reach its
-    satellite.
+    satellite.  Raises ``ValueError`` when every table is empty.
     """
     if not inst.customers:
         return 0
@@ -269,10 +269,10 @@ def _bound_from_tables(inst: Instance, tables: dict[int, NgRouteTable]) -> int:
                 joint = jk
 
     if unit_best is None:
-        # no closed route exists at all; fall back to pure fixed-cost floors
-        return ceil(q_tot / inst.q2_capacity) * f2 + first_floor
+        # the tables relax every feasible second-level route: none exists
+        raise ValueError("no satellite has a closed route within the battery")
     amortized = (q_tot * unit_best).__floor__() + first_floor
-    return max(amortized, joint if joint is not None else 0)
+    return max(amortized, joint)
 
 
 def bound_report(
@@ -285,7 +285,7 @@ def bound_report(
     """JSON-friendly summary: per-satellite pricing digests plus the global bound.
 
     Raises ``ValueError`` when the instance has customers but no satellite
-    to serve them from.
+    to serve them from, or no satellite has a closed route within the battery.
     """
     if inst.customers and not inst.satellites:
         raise ValueError("instance has customers but no satellite to serve them")

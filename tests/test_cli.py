@@ -333,6 +333,31 @@ def test_bound_without_satellites_is_a_clean_error(tmp_path, as_json):
     assert json.loads(res.output)["lower_bound"] == 0
 
 
+# satellite 1 reaches station 3 but not customer 2 through it; station 4 lies
+# near the customer but out of the satellite's range: no route fits the battery
+NO_CLOSED_ROUTE = """\
+NAME rand-107473
+LEVEL1 1 80 0
+LEVEL2 7 20 0 60 1
+DEPOT 86 94
+SATELLITES 1
+1 81 14 - 1
+CUSTOMERS 1
+2 3 94 3
+STATIONS 2
+3 31 28
+4 17 94
+"""
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_bound_without_a_closed_route_is_a_clean_error(tmp_path, as_json):
+    path = tmp_path / "noroute.txt"
+    path.write_text(NO_CLOSED_ROUTE)
+    res = CliRunner().invoke(main, ["bound", str(path), *(["--json"] * as_json)])
+    assert "no satellite has a closed route within the battery" in _one_line_error(res, as_json)
+
+
 @pytest.mark.parametrize("as_json", [False, True])
 def test_bound_state_cap_exits_4(tmp_path, as_json):
     res = CliRunner().invoke(

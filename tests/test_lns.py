@@ -1,4 +1,3 @@
-import hashlib
 import random
 
 import pytest
@@ -14,10 +13,11 @@ from e2evrp.lns import (
     remove_singleton_routes,
     repair,
 )
-from e2evrp.model import check_feasibility, write_solution
+from e2evrp.model import check_feasibility
 from e2evrp.search import SolverContext, WorkingRoute, WorkingSolution, build_first_level
 
-from oracles import make_instance, metro_instance, random_instance
+import golden
+from oracles import make_instance, random_instance
 
 
 def _ctx(inst, gamma=25):
@@ -361,20 +361,10 @@ def test_time_budget_respected():
     assert time.monotonic() - t0 < 8.0  # budget plus construction slack
 
 
-@pytest.mark.parametrize(
-    "customers, stations, seed, i_max, fields, digest",
-    [
-        (50, 20, 2, 20, (15028, 26, 1, 0, 6), "199ae6852a143f5bbe660230d7fa5fc1ec76678f"),
-        (10, 5, 1, 20, (5763, 29, 1, 0, 9), "c4645bf72d95051400b7c00a8e2b9b938b621ced"),
-        (50, 20, 3, 20, (16278, 43, 1, 0, 23), "0f43d60cd9d2c1561b8f9ae87f3e69497872ae68"),
-        (50, 20, 4, 20, (15716, 20, 1, 0, 0), "e81513aa6fc9a18b3ed3f8354c209771591a4ee4"),
-        (100, 20, 1, 1, (25637, 4, 1, 0, 3), "734f7a8068867ef318ce4e22ff7add52c9dc2e98"),
-    ],
-)
+@pytest.mark.parametrize("customers, stations, seed, i_max, fields, digest", golden.SOLVES)
 def test_golden_metro_solves(customers, stations, seed, i_max, fields, digest):
     """The benchmark's metro solves (instance seed 1, one restart) are pinned:
     a change to the search that should keep its path must keep these."""
-    inst = metro_instance(customers, stations)
-    sol, stats = lns_run(inst, LnsParams(t_max=None, max_restarts=1, i_max=i_max, seed=seed))
-    assert stats.deterministic_fields() == fields
-    assert hashlib.sha1(write_solution(sol).encode()).hexdigest() == digest
+    got_fields, got_digest = golden.solve(customers, stations, seed, i_max)
+    assert got_fields == fields
+    assert got_digest == digest

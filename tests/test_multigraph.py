@@ -1,4 +1,3 @@
-import hashlib
 import random
 
 import pytest
@@ -7,6 +6,7 @@ from e2evrp.model import DEPOT_ID, SecondLevelRoute, evaluate_cost, Solution, Fi
 from e2evrp.multigraph import Multigraph, build_multigraph, reduce_by_dominance, reduced_multigraph
 from e2evrp.search import SolverContext
 
+import golden
 from oracles import (
     expand_arc_route,
     make_instance,
@@ -149,7 +149,6 @@ def test_customer_tail_rule_never_touches_direct_arcs():
 
 def test_full_tie_keeps_exactly_one():
     a = (80, 30, 5, 50)
-    b = (80, 30, 6, 50)
     inst = make_instance(
         satellites=((1, (0, 0), None, 5),),
         customers=((2, (10, 0), 10),),
@@ -157,9 +156,12 @@ def test_full_tie_keeps_exactly_one():
         q1=100,
         battery=500,
     )
-    g = Multigraph(inst, lambda i, j: (a, b))
-    kept = reduce_by_dominance(g).arcs(1, 2)
-    assert kept == (a,)  # lexicographically smallest station id wins
+    # b first ties a on every compared field, then differs from it only by a
+    # smaller station leg, which only a customer tail compares
+    for b, kept_at_customer in (((80, 30, 6, 50), a), ((80, 30, 6, 10), (80, 30, 6, 10))):
+        g = reduce_by_dominance(Multigraph(inst, lambda i, j: (a, b)))
+        assert g.arcs(1, 2) == (a,)  # lexicographically smallest station id wins
+        assert g.arcs(2, 1) == (kept_at_customer,)
 
 
 def test_single_arc_bundle_unchanged():
@@ -303,7 +305,7 @@ def _synthetic_bundle(rng):
 def test_sweep_matches_pairwise_reference():
     inst = _corner_instance(500)
     rng = random.Random(23)
-    seen = {"full_tie": 0, "leg_only_differs": 0, "customer_direct": 0}
+    seen = {"full_tie": 0, "leg_only_differs": 0, "satellite_leg_only_differs": 0, "customer_direct": 0}
     # a full tie: equal on every field the rule compares at that tail kind
     for n in range(3000):
         tail_is_satellite = n % 2 == 0
@@ -317,32 +319,18 @@ def test_sweep_matches_pairwise_reference():
         else:
             fields = [(cost, cons, leg) for cost, cons, _, leg in via]
         seen["full_tie"] += len(set(fields)) < len(fields)
-        seen["leg_only_differs"] += any(
-            a[:2] == b[:2] and a[3] != b[3]
-            for a in via
-            for b in via
-        )
+        leg_only_differs = any(a[:2] == b[:2] and a[3] != b[3] for a in via for b in via)
+        seen["leg_only_differs"] += leg_only_differs
+        seen["satellite_leg_only_differs"] += tail_is_satellite and leg_only_differs
         seen["customer_direct"] += not tail_is_satellite and len(via) < len(bundle)
     assert min(seen.values()) >= 100, seen
 
 
-@pytest.mark.parametrize(
-    "customers, stations, built, kept, digest",
-    [
-        (10, 5, 1276, 550, "0b1d9a2ebd27cc3255dfc4edbe3be1bf4f4ad249"),
-        (50, 20, 53714, 15454, "a03d690ff85d54fb736149cc45d791b2d6d07182"),
-    ],
-)
+@pytest.mark.parametrize("customers, stations, built, kept, digest", golden.MULTIGRAPH)
 def test_golden_metro_multigraph(customers, stations, built, kept, digest):
-    inst = metro_instance(customers, stations)
-    g = build_multigraph(inst)
-    red = reduce_by_dominance(g)
-    assert (g.arc_count(), red.arc_count()) == (built, kept)
-    rows = [
-        ((i, j), tuple((i, j, *row) for row in red.arcs(i, j)))
-        for (i, j) in red.pairs()
-    ]
-    assert hashlib.sha1(repr(rows).encode()).hexdigest() == digest
+    got_built, got_kept, got_digest = golden.multigraph(customers, stations)
+    assert (got_built, got_kept) == (built, kept)
+    assert got_digest == digest
 
 
 # ---------------------------------------------------------------------------

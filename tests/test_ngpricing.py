@@ -1,4 +1,3 @@
-import hashlib
 import random
 
 import pytest
@@ -13,6 +12,7 @@ from e2evrp.ngpricing import (
     price_ng_routes,
 )
 
+import golden
 from oracles import (
     elementary_route_optima,
     make_instance,
@@ -235,12 +235,10 @@ def test_subset_dominance_matches_reference():
 
 def test_golden_metro_pricing():
     """ng tables at delta 3 on the perfbench bound-m10 instance."""
-    inst = metro_instance(10, 5)
-    graph, ng = _graph(inst), NgSets.build(inst, delta=3)
-    tables = {k: price_ng_routes(inst, graph, k, ng) for k in inst.satellite_ids}
-    rows = [(k, sorted(tbl.by_load_last.items())) for k, tbl in sorted(tables.items())]
-    assert hashlib.sha1(repr(rows).encode()).hexdigest() == "b429a99a15f11f8fd85ce890fa5904a005b6f71f"
-    assert ngpricing._bound_from_tables(inst, tables) == 3034
+    customers, stations, delta, digest, bound = golden.PRICING
+    got_digest, got_bound = golden.pricing(customers, stations, delta)
+    assert got_digest == digest
+    assert got_bound == bound
 
 
 def test_lazy_graph_prices_like_eager():
