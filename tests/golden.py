@@ -32,8 +32,10 @@ SOLVES = [
 ]
 
 # ng tables of the bound-m10 instance: (customers, stations, delta, sha1 of
-# the tables, lower bound)
-PRICING = (10, 5, 3, "b429a99a15f11f8fd85ce890fa5904a005b6f71f", 3034)
+# the tables, label_count per satellite in id order, lower bound)
+PRICING = (
+    10, 5, 3, "b429a99a15f11f8fd85ce890fa5904a005b6f71f", (6126, 6043, 5529, 5970), 3034,
+)
 
 # the eager graphs: (customers, stations, arcs built, arcs kept, sha1 of the
 # reduced rows)
@@ -54,14 +56,16 @@ def solve(customers: int, stations: int, seed: int, i_max: int) -> tuple[tuple, 
     return stats.deterministic_fields(), hashlib.sha1(write_solution(sol).encode()).hexdigest()
 
 
-def pricing(customers: int, stations: int, delta: int) -> tuple[str, int]:
-    """The sha1 of every satellite's ng table on the eager graph, and the bound."""
+def pricing(customers: int, stations: int, delta: int) -> tuple[str, tuple[int, ...], int]:
+    """The sha1 of every satellite's ng table on the eager graph, the label
+    counts and the bound."""
     inst = metro_instance(customers, stations)
     graph = reduce_by_dominance(build_multigraph(inst))
     ng = NgSets.build(inst, delta=delta)
     tables = {k: price_ng_routes(inst, graph, k, ng) for k in inst.satellite_ids}
     rows = [(k, sorted(tbl.by_load_last.items())) for k, tbl in sorted(tables.items())]
-    return _sha1(rows), _bound_from_tables(inst, tables)
+    labels = tuple(tbl.label_count for _, tbl in sorted(tables.items()))
+    return _sha1(rows), labels, _bound_from_tables(inst, tables)
 
 
 def multigraph(customers: int, stations: int) -> tuple[int, int, str]:
@@ -77,8 +81,10 @@ def main() -> int:
         (f"solve {c}x{s} seed {seed} i_max {i_max}", solve(c, s, seed, i_max), (fields, digest))
         for c, s, seed, i_max, fields, digest in SOLVES
     ]
-    c, s, delta, digest, bound = PRICING
-    checks.append((f"pricing {c}x{s} delta {delta}", pricing(c, s, delta), (digest, bound)))
+    c, s, delta, digest, labels, bound = PRICING
+    checks.append(
+        (f"pricing {c}x{s} delta {delta}", pricing(c, s, delta), (digest, labels, bound))
+    )
     checks += [
         (f"multigraph {c}x{s}", multigraph(c, s), (built, kept, digest))
         for c, s, built, kept, digest in MULTIGRAPH

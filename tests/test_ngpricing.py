@@ -234,10 +234,11 @@ def test_subset_dominance_matches_reference():
 
 
 def test_golden_metro_pricing():
-    """ng tables at delta 3 on the perfbench bound-m10 instance."""
-    customers, stations, delta, digest, bound = golden.PRICING
-    got_digest, got_bound = golden.pricing(customers, stations, delta)
+    """ng tables and label counts at delta 3 on the perfbench bound-m10 instance."""
+    customers, stations, delta, digest, labels, bound = golden.PRICING
+    got_digest, got_labels, got_bound = golden.pricing(customers, stations, delta)
     assert got_digest == digest
+    assert got_labels == labels
     assert got_bound == bound
 
 
