@@ -6,13 +6,28 @@ elementary route with the same signature; with full memory the relaxation
 collapses to elementary optima.  A label is (consumption, cost); labels are
 kept per load bucket, ``by_load[q][(vertex, memory mask)]``.
 
+Each label list is nondominated and kept in rising consumption, so in
+strictly falling cost.  One bisection places a new label: the label just
+before it is the cheapest that consumes no more, the only one that can
+dominate it, and the labels it dominates follow it in one run.  Three reads
+stop early on that order:
+
+* a direct arc extends the labels up to the first that the arc would take
+  over the battery;
+* a via-station arc takes the last label that can reach the station, which
+  is the cheapest one that can;
+* a closing arc back to the satellite takes the last label that can reach
+  the satellite, directly or through the arc's station.
+
 Dominance (Baldacci, Mingozzi & Roberti 2011, Operations Research 59(5)): a
 label dominates another at the same vertex and load when its memory is a
 subset of the other's and its consumption and cost are no higher.  Labels
 under an identical key are compared as they are stored; across keys, one pass
 at the start of each load bucket, before any label of that load is extended,
-drops every label that a label with a proper-subset memory dominates.  The
-pass is exact and loses nothing:
+drops every label that a label with a proper-subset memory dominates.  Every
+memory at a vertex holds the vertex's own bit, so the pass looks a key's
+rivals up by enumerating its proper submasks that keep that bit.  The pass is
+exact and loses nothing:
 
 * every demand is >= 1, so each transition strictly raises the load, and every
   label of load q exists before bucket q is swept (this is also the processing
@@ -35,6 +50,7 @@ procedure.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,6 +60,10 @@ from typing import Optional
 from .model import DEPOT_ID, Instance
 from .multigraph import Multigraph
 from .search import build_neighbor_lists
+
+
+# stands in for a missing battery limit: above any consumption a route can sum
+_NO_LIMIT = 1 << 62
 
 
 class NgStateSpaceExceeded(RuntimeError):
@@ -104,42 +124,70 @@ def price_ng_routes(
     nmask = {c: sum(bit[j] for j in ng.neighbors[c]) for c in custs}
     demand = inst.demand
     q2 = inst.q2_capacity
-    limit = inst.battery_limit
+    # no battery: no via-station rows, and no label consumes this much
+    limit = inst.battery_limit if inst.battery_limit is not None else _NO_LIMIT
+
+    def fits(bundle: tuple) -> list[tuple[int, int, int, bool]]:
+        """Each row as (cost, consumption, room, direct): a label reaches the
+        head, or the station of a via row, when it consumes at most room."""
+        return [
+            (arc_cost, arc_cons, limit - (arc_cons if station is None else leg), station is None)
+            for arc_cost, arc_cons, station, leg in bundle
+        ]
 
     # every leg the recursion reads, through ``arcs`` so that a lazy graph
-    # builds the ones it has not built yet
-    bundles = {(i, j): graph.arcs(i, j) for i in custs for j in (*custs, satellite)}
+    # builds the ones it has not built yet: per customer, its successors
+    # (j, bit, demand, memory mask, rows) in customer order, and its closing
+    # rows back to the satellite
+    succ: dict[int, list[tuple[int, int, int, int, list]]] = {}
+    closing: dict[int, list[tuple[int, int, int, bool]]] = {}
+    for i in custs:
+        succ[i] = [
+            (j, bit[j], demand[j], nmask[j], fits(bundle))
+            for j in custs
+            if (bundle := graph.arcs(i, j))
+        ]
+        closing[i] = fits(graph.arcs(i, satellite))
 
-    # by_load[load][(vertex, memory mask)] -> nondominated [(w, cost)]
+    # by_load[load][(vertex, memory mask)] -> nondominated [(w, cost)] in
+    # rising consumption, so in strictly falling cost
     by_load: defaultdict[int, dict[tuple[int, int], list[tuple[int, int]]]] = defaultdict(dict)
     count = 0
 
-    def push(bucket: dict, key: tuple[int, int], w: int, cost: int) -> None:
+    def insert(bucket: dict, key: tuple[int, int], cands: list[tuple[int, int]]) -> None:
+        """Add each candidate label to ``bucket[key]`` in turn, unless a label
+        there dominates it, and drop the labels that it dominates."""
         nonlocal count
+        if not cands:
+            return
         labs = bucket.get(key)
         if labs is None:
-            bucket[key] = [(w, cost)]
-            count += 1
+            labs = bucket[key] = []
+        for lab in cands:
+            cost = lab[1]
+            # labs[:at] sort at or below the candidate; the last of them is
+            # the cheapest label that consumes no more than it does
+            at = bisect_right(labs, lab)
+            if at and labs[at - 1][1] <= cost:
+                continue
+            # labs[at:] consume at least as much; those that cost no less
+            # come first
+            end = at
+            while end < len(labs) and labs[end][1] >= cost:
+                end += 1
+            labs[at:end] = [lab]
+            count += 1 - (end - at)
             if count > max_states:
                 raise NgStateSpaceExceeded(f"more than {max_states} labels")
-            return
-        keep = []
-        for lw, lc in labs:
-            if lw <= w and lc <= cost:
-                return
-            if not (w <= lw and cost <= lc):
-                keep.append((lw, lc))
-        keep.append((w, cost))
-        count += len(keep) - len(labs)
-        if count > max_states:
-            raise NgStateSpaceExceeded(f"more than {max_states} labels")
-        labs[:] = keep
 
     for c in custs:
-        for arc_cost, arc_cons, _, _ in graph.arcs(satellite, c):
-            # leaving the satellite fully charged, arrival consumption is the
-            # arc's own consumption for both arc kinds
-            push(by_load[demand[c]], (c, bit[c]), arc_cons, arc_cost)
+        # leaving the satellite fully charged, arrival consumption is the
+        # arc's own consumption for both arc kinds
+        insert(
+            by_load[demand[c]],
+            (c, bit[c]),
+            [(arc_cons, arc_cost) for arc_cost, arc_cons, _, _ in graph.arcs(satellite, c)],
+        )
 
     # transitions strictly increase the load, so sweeping loads upward visits
     # every reachable state after all its predecessors
@@ -147,96 +195,87 @@ def price_ng_routes(
         bucket = by_load.get(q)
         if not bucket:
             continue
-        count -= _drop_subset_dominated(bucket)
+        count -= _drop_subset_dominated(bucket, bit)
         for (i, mask), labs in sorted(bucket.items()):
-            for j in custs:
-                if mask & bit[j]:
+            for j, bj, dj, nmj, rows in succ[i]:
+                if mask & bj:
                     continue  # memory forbids an immediate revisit
-                qn = q + demand[j]
+                qn = q + dj
                 if qn > q2:
                     continue
-                opts = bundles.get((i, j))
-                if not opts:
-                    continue
-                nbucket = by_load[qn]
-                nkey = (j, (mask & nmask[j]) | bit[j])
-                for arc_cost, arc_cons, station, station_leg in opts:
-                    if station is None:
+                cands = []
+                for arc_cost, arc_cons, room, direct in rows:
+                    if direct:
+                        # the labels that fit before the first one over the battery
                         for w, cost in labs:
-                            w2 = w + arc_cons
-                            if limit is not None and w2 > limit:
-                                continue
-                            push(nbucket, nkey, w2, cost + arc_cost)
+                            if w > room:
+                                break
+                            cands.append((w + arc_cons, cost + arc_cost))
                     else:
-                        best = None
-                        for w, cost in labs:
-                            if w + station_leg <= limit and (
-                                best is None or cost < best
-                            ):
-                                best = cost
-                        if best is not None:
-                            push(nbucket, nkey, arc_cons, best + arc_cost)
+                        # the cheapest label that reaches the station
+                        for w, cost in reversed(labs):
+                            if w <= room:
+                                cands.append((arc_cons, cost + arc_cost))
+                                break
+                insert(by_load[qn], (j, (mask & nmj) | bj), cands)
 
     table: dict[tuple[int, int], int] = {}
     for q, bucket in by_load.items():
         for (i, _mask), labs in bucket.items():
             entry = table.get((q, i), None)
-            for arc_cost, arc_cons, station, station_leg in bundles.get((i, satellite), ()):
-                for w, cost in labs:
-                    if limit is not None:
-                        need = w + (arc_cons if station is None else station_leg)
-                        if need > limit:
-                            continue
-                    total = cost + arc_cost
-                    if entry is None or total < entry:
-                        entry = total
+            for arc_cost, _, room, _ in closing[i]:
+                for w, cost in reversed(labs):
+                    if w <= room:
+                        total = cost + arc_cost
+                        if entry is None or total < entry:
+                            entry = total
+                        break
             if entry is not None:
                 table[(q, i)] = entry
     return NgRouteTable(satellite, table, count)
 
 
-def _drop_subset_dominated(bucket: dict[tuple[int, int], list[tuple[int, int]]]) -> int:
+def _drop_subset_dominated(
+    bucket: dict[tuple[int, int], list[tuple[int, int]]], bit: dict[int, int]
+) -> int:
     """Drop the labels of one load bucket that a label at the same vertex with
     a subset memory dominates; return how many were dropped.
 
-    Keys left without labels leave the bucket.
+    Every memory at a vertex holds the vertex's own bit, so the keys that can
+    dominate a key are those of its proper submasks that keep that bit.  The
+    order in which keys are filtered does not matter: a label dropped earlier
+    was dominated by a label with a still smaller memory, which dominates all
+    that the dropped one did.  Keys left without labels leave the bucket.
     """
-    by_vertex: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-    for key in bucket:
-        by_vertex.setdefault(key[0], []).append((key[1].bit_count(), key))
     dropped = 0
     emptied = []
-    for ranked in by_vertex.values():
-        # a proper subset has fewer members, so only masks of an earlier size
-        # can dominate; first is where the current size starts
-        ranked.sort()
-        first = 0
-        for b in range(1, len(ranked)):
-            size, kb = ranked[b]
-            if size != ranked[b - 1][0]:
-                first = b
-            mb = kb[1]
-            doms = [
-                lab
-                for _, ka in ranked[:first]
-                if not ka[1] & ~mb
-                for lab in bucket[ka]
-            ]
-            if not doms:
-                continue
-            labs = bucket[kb]
-            keep = [
-                (w, cost)
-                for w, cost in labs
-                if not any(dw <= w and dc <= cost for dw, dc in doms)
-            ]
-            if len(keep) < len(labs):
-                dropped += len(labs) - len(keep)
-                labs[:] = keep
-                if not keep:
-                    emptied.append(kb)
-    for kb in emptied:
-        del bucket[kb]
+    for key, labs in bucket.items():
+        v, mask = key
+        own = bit[v]
+        rest = mask ^ own
+        doms = []
+        sub = rest
+        while sub:
+            sub = (sub - 1) & rest
+            found = bucket.get((v, sub | own))
+            if found:
+                doms += found
+        if not doms:
+            continue
+        keep = []
+        for w, cost in labs:
+            for dw, dc in doms:
+                if dw <= w and dc <= cost:
+                    break
+            else:
+                keep.append((w, cost))
+        if len(keep) < len(labs):
+            dropped += len(labs) - len(keep)
+            labs[:] = keep
+            if not keep:
+                emptied.append(key)
+    for key in emptied:
+        del bucket[key]
     return dropped
 
 

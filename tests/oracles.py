@@ -4,7 +4,8 @@ Nothing here may call into the solver paths under test: charging results come
 from exhaustive enumeration over per-leg station choices (with sound
 branch-and-bound pruning only), elementary route optima from exhaustive
 sequence enumeration on top of that, and ng-route tables from the pricing
-recursion without its subset-memory dominance, and multigraph bundles from
+recursion without its subset-memory dominance (and that dominance pass from
+a pairwise scan of the keys), and multigraph bundles from
 the definition of their arcs, with the pairwise dominance rule.  The charging
 reference is the two-pass DP that the one-pass ``best_insertion`` replaced:
 a battery-hard pass, then a penalized rerun on three-field labels when the
@@ -529,6 +530,52 @@ def price_ng_routes_reference(
         if entry is not None:
             table[(q, i)] = entry
     return NgRouteTable(satellite, table, count)
+
+
+def drop_subset_dominated_reference(
+    bucket: dict[tuple[int, int], list[tuple[int, int]]],
+) -> int:
+    """The pairwise subset-memory pass: every key of a vertex is checked
+    against every key of that vertex with fewer members.  Drops the labels
+    that a label with a proper-subset memory dominates, deletes the keys it
+    empties and returns how many labels it dropped."""
+    by_vertex: dict[int, list[tuple[int, tuple[int, int]]]] = {}
+    for key in bucket:
+        by_vertex.setdefault(key[0], []).append((key[1].bit_count(), key))
+    dropped = 0
+    emptied = []
+    for ranked in by_vertex.values():
+        # a proper subset has fewer members, so only masks of an earlier size
+        # can dominate; first is where the current size starts
+        ranked.sort()
+        first = 0
+        for b in range(1, len(ranked)):
+            size, kb = ranked[b]
+            if size != ranked[b - 1][0]:
+                first = b
+            mb = kb[1]
+            doms = [
+                lab
+                for _, ka in ranked[:first]
+                if not ka[1] & ~mb
+                for lab in bucket[ka]
+            ]
+            if not doms:
+                continue
+            labs = bucket[kb]
+            keep = [
+                (w, cost)
+                for w, cost in labs
+                if not any(dw <= w and dc <= cost for dw, dc in doms)
+            ]
+            if len(keep) < len(labs):
+                dropped += len(labs) - len(keep)
+                labs[:] = keep
+                if not keep:
+                    emptied.append(kb)
+    for kb in emptied:
+        del bucket[kb]
+    return dropped
 
 
 # ---------------------------------------------------------------------------

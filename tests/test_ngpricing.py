@@ -14,6 +14,7 @@ from e2evrp.ngpricing import (
 
 import golden
 from oracles import (
+    drop_subset_dominated_reference,
     elementary_route_optima,
     make_instance,
     metro_instance,
@@ -231,6 +232,41 @@ def test_subset_dominance_matches_reference():
                 ref = price_ng_routes_reference(inst, graph, sat, ng)
                 assert got.by_load_last == ref.by_load_last, (inst.name, delta, sat)
                 assert got.label_count <= ref.label_count
+
+
+def _random_front(rng: random.Random, pool: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """A nondominated label list in rising consumption, drawn partly from a
+    pool shared by the bucket so that keys tie."""
+    labs = rng.sample(pool, rng.randint(0, 3)) + [
+        (rng.randint(0, 30), rng.randint(0, 30)) for _ in range(rng.randint(0, 4))
+    ]
+    front = []
+    for w, cost in sorted(set(labs)):
+        if not front or cost < front[-1][1]:
+            front.append((w, cost))
+    return front or [(rng.randint(0, 30), rng.randint(0, 30))]
+
+
+def test_subset_pass_matches_pairwise_reference():
+    """Random load buckets: memories of up to 8 bits that hold their vertex's
+    own bit, labels that tie across keys, and keys that the pass empties."""
+    rng = random.Random(23)
+    bit = {v: 1 << v for v in range(8)}
+    emptying = 0
+    for _ in range(400):
+        pool = [(rng.randint(0, 30), rng.randint(0, 30)) for _ in range(6)]
+        bucket = {}
+        for v in rng.sample(range(8), rng.randint(1, 3)):
+            for _ in range(rng.randint(1, 24)):
+                mask = rng.getrandbits(8) | bit[v]
+                bucket[(v, mask)] = _random_front(rng, pool)
+        keys = len(bucket)
+        ref = {key: list(labs) for key, labs in bucket.items()}
+        want = drop_subset_dominated_reference(ref)
+        got = ngpricing._drop_subset_dominated(bucket, bit)
+        assert (got, bucket) == (want, ref)
+        emptying += len(bucket) < keys
+    assert emptying > 100
 
 
 def test_golden_metro_pricing():
