@@ -54,16 +54,12 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, inf
 from typing import Optional
 
 from .model import DEPOT_ID, Instance
 from .multigraph import Multigraph
 from .search import build_neighbor_lists
-
-
-# stands in for a missing battery limit: above any consumption a route can sum
-_NO_LIMIT = 1 << 62
 
 
 class NgStateSpaceExceeded(RuntimeError):
@@ -124,10 +120,10 @@ def price_ng_routes(
     nmask = {c: sum(bit[j] for j in ng.neighbors[c]) for c in custs}
     demand = inst.demand
     q2 = inst.q2_capacity
-    # no battery: no via-station rows, and no label consumes this much
-    limit = inst.battery_limit if inst.battery_limit is not None else _NO_LIMIT
+    # no battery: no via-station rows, and every label fits every row
+    limit = inst.battery_limit if inst.battery_limit is not None else inf
 
-    def fits(bundle: tuple) -> list[tuple[int, int, int, bool]]:
+    def fits(bundle: tuple) -> list[tuple[int, int, float, bool]]:
         """Each row as (cost, consumption, room, direct): a label reaches the
         head, or the station of a via row, when it consumes at most room."""
         return [
@@ -140,7 +136,7 @@ def price_ng_routes(
     # (j, bit, demand, memory mask, rows) in customer order, and its closing
     # rows back to the satellite
     succ: dict[int, list[tuple[int, int, int, int, list]]] = {}
-    closing: dict[int, list[tuple[int, int, int, bool]]] = {}
+    closing: dict[int, list[tuple[int, int, float, bool]]] = {}
     for i in custs:
         succ[i] = [
             (j, bit[j], demand[j], nmask[j], fits(bundle))
