@@ -3,10 +3,10 @@
 Nothing here may call into the solver paths under test: charging results come
 from exhaustive enumeration over per-leg station choices (with sound
 branch-and-bound pruning only), elementary route optima from exhaustive
-sequence enumeration on top of that, and ng-route tables from the pricing
-recursion without its subset-memory dominance (and that dominance pass from
-a pairwise scan of the keys), and multigraph bundles from
-the definition of their arcs, with the pairwise dominance rule.  The charging
+sequence enumeration on top of that, ng-route tables from the pricing
+recursion without its subset-memory dominance, that dominance pass from a
+pairwise scan of the keys, and multigraph bundles from the definition of
+their arcs, with the pairwise dominance rule.  The charging
 reference is the two-pass DP that the one-pass ``best_insertion`` replaced:
 a battery-hard pass, then a penalized rerun on three-field labels when the
 hard pass finds no placement.
