@@ -342,7 +342,6 @@ def augment_2evrp_instance(
         battery_capacity=battery,
         fixed_cost_l1=base.fixed_cost_l1,
         fixed_cost_l2=base.fixed_cost_l2,
-        consumption_factor=base.consumption_factor,
     )
 
 

@@ -36,7 +36,7 @@ class InsertionResult:
 
     ``stations`` holds ``(leg, charging location id)`` pairs where leg ``l``
     joins sequence position ``l-1`` to ``l`` (position 0 and K being the
-    satellite).  ``excess`` is the total battery overrun in scaled units and
+    satellite).  ``excess`` is the total battery overrun in distance units and
     ``penalty`` its big-M cost equivalent; both are 0 for feasible results.
 
     A plan compares and hashes by identity.  The plan cache gives each route
@@ -57,7 +57,8 @@ _EMPTY = InsertionResult(True, 0, (), 0, 0)
 
 def _raw_leg(inst: Instance, i: int, j: int) -> tuple[tuple, ...]:
     """The one row of a leg with no admissible arc: the raw direct leg."""
-    return ((inst.distance(i, j), inst.consumption(i, j), None, 0),)
+    d = inst.distance(i, j)
+    return ((d, d, None, 0),)
 
 
 def best_insertion(
@@ -70,7 +71,7 @@ def best_insertion(
     """
     if not customers:
         return _EMPTY
-    limit = inst.battery_limit
+    limit = inst.battery_capacity
     m = inst.big_m
     # labels mutually nondominated in (w, key); exact ties keep the
     # first-inserted label (arc order is deterministic)

@@ -350,12 +350,18 @@ def lns_run(inst: Instance, params: LnsParams) -> tuple[Solution, RunStats]:
     """Run the metaheuristic; returns the best feasible solution found.
 
     Raises :class:`ConstructionError` when no feasible solution could be
-    built before the budget ran out.
+    built before the budget ran out, and before the first restart when no
+    satellite has a second-level vehicle.
     """
     start = time.monotonic()
     if not inst.customers:
         empty = Solution((), (), CostBreakdown(0, 0, 0, 0))
         return empty, RunStats(0, 0, 0, 0, -1, 0.0, time.monotonic() - start)
+    if not any(s.m2_local for s in inst.satellites):
+        raise ConstructionError(
+            "construction failed before any restart: no satellite has a second-level "
+            "vehicle to serve the customers"
+        )
     dead = unservable_customers(inst)
     if dead:
         raise ConstructionError(

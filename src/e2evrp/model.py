@@ -2,15 +2,11 @@
 
 All vertices live on an integer grid and travel cost between two vertices is
 the Euclidean distance rounded half-up to the nearest integer.  Battery
-consumption is proportional to travel cost through a rational
-``consumption_factor``.  To keep battery arithmetic exact, consumption is
-handled internally in *scaled units*::
-
-    consumption(i, j) = factor.numerator   * distance(i, j)
-    battery_limit     = factor.denominator * battery_capacity
-
-so that every comparison against the battery capacity is integer-exact.  With
-the default factor of 1 the scaled units coincide with distance units.
+consumption is travel distance: ``battery_capacity`` is the driving range,
+and a leg consumes its distance.  An instance file may scale consumption by a
+rational factor f; distances are integers, so a leg sum S fits the battery L
+iff ``S <= floor(L / f)``, and :func:`parse_instance` folds the factor into
+the range once.
 
 A ``battery_capacity`` of ``None`` models vehicles with unlimited range
 (used as the unconstrained reference configuration in sweeps); in that case
@@ -89,7 +85,6 @@ class Instance:
     battery_capacity: Optional[int]
     fixed_cost_l1: int = 0
     fixed_cost_l2: int = 0
-    consumption_factor: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -102,8 +97,6 @@ class Instance:
             raise InstanceError("battery capacity must be positive")
         if self.fixed_cost_l1 < 0 or self.fixed_cost_l2 < 0:
             raise InstanceError("fixed costs must be non-negative")
-        if self.consumption_factor <= 0:
-            raise InstanceError("consumption factor must be positive")
         seen = {DEPOT_ID}
         for v in (*self.satellites, *self.customers, *self.stations):
             if v.id in seen:
@@ -178,24 +171,6 @@ class Instance:
             return self._dist[a][b]
         except KeyError:
             raise ValueError(f"unknown vertex id in distance query: ({a}, {b})") from None
-
-    # -- battery (scaled units) ---------------------------------------------
-
-    @cached_property
-    def consumption_scale(self) -> tuple[int, int]:
-        f = self.consumption_factor
-        return f.numerator, f.denominator
-
-    def consumption(self, a: int, b: int) -> int:
-        """Battery consumption of leg (a, b) in scaled units."""
-        return self.consumption_scale[0] * self.distance(a, b)
-
-    @cached_property
-    def battery_limit(self) -> Optional[int]:
-        """Battery capacity in the same scaled units as :meth:`consumption`."""
-        if self.battery_capacity is None:
-            return None
-        return self.consumption_scale[1] * self.battery_capacity
 
     @cached_property
     def big_m(self) -> int:
@@ -306,7 +281,7 @@ def check_feasibility(inst: Instance, sol: Solution) -> list[str]:
     # second-level route structure
     sat_dispatch: dict[int, int] = {s: 0 for s in inst.satellite_ids}
     sat_routes: dict[int, int] = {s: 0 for s in inst.satellite_ids}
-    limit = inst.battery_limit
+    limit = inst.battery_capacity
     for idx, route in enumerate(sol.second_level_routes):
         tag = f"route {idx} (satellite {route.satellite})"
         if route.satellite not in inst.satellite_by_id:
@@ -329,7 +304,7 @@ def check_feasibility(inst: Instance, sol: Solution) -> list[str]:
             if v in customers:
                 load += inst.demand[v]
             if limit is not None:
-                w += inst.consumption(prev, v)
+                w += inst.distance(prev, v)
                 if w > limit:
                     out.append(f"{tag}: battery exceeded at {v}")
             if is_charge:
@@ -339,7 +314,7 @@ def check_feasibility(inst: Instance, sol: Solution) -> list[str]:
         if not ok_ids:
             continue
         if limit is not None:
-            w += inst.consumption(prev, route.satellite)
+            w += inst.distance(prev, route.satellite)
             if w > limit:
                 out.append(f"{tag}: battery exceeded on return leg")
         if load != route.load:
@@ -414,7 +389,8 @@ def check_feasibility(inst: Instance, sol: Solution) -> list[str]:
 #   <id> <x> <y>
 #
 # `#` starts a comment; blank lines are ignored.  Ids are globally unique
-# positive integers (0 is the depot).
+# positive integers (0 is the depot).  A consumption factor f is folded into
+# the range, L becoming floor(L / f), and is not written back.
 
 
 def _tokens(text: str) -> Iterator[tuple[int, list[str]]]:
@@ -487,8 +463,11 @@ def parse_instance(text: str) -> Instance:
             raise InstanceError(f"line {ln}: bad consumption factor {l2[4]!r}") from None
         if factor <= 0:
             raise InstanceError(f"line {ln}: consumption factor must be positive")
-    else:
-        factor = Fraction(1)
+        if battery is not None:
+            # f * S <= L iff S <= floor(L / f) for an integer leg sum S
+            battery = battery * factor.denominator // factor.numerator
+            if battery < 1:
+                raise InstanceError(f"line {ln}: battery {l2[3]} / factor {l2[4]} is a range below 1")
 
     ln, dep = take("DEPOT", 2, 2)
     depot = (_parse_int(dep[0], ln, "x"), _parse_int(dep[1], ln, "y"))
@@ -539,24 +518,20 @@ def parse_instance(text: str) -> Instance:
     for lineno, toks in it:
         raise InstanceError(f"line {lineno}: unexpected trailing content {toks[0]!r}")
 
-    try:
-        return Instance(
-            name=name,
-            depot=depot,
-            satellites=tuple(satellites),
-            customers=tuple(customers),
-            stations=tuple(stations),
-            q1_capacity=q1,
-            m1_fleet=m1,
-            q2_capacity=q2,
-            m2_global=m2,
-            battery_capacity=battery,
-            fixed_cost_l1=f1,
-            fixed_cost_l2=f2,
-            consumption_factor=factor,
-        )
-    except InstanceError as exc:
-        raise InstanceError(str(exc)) from None
+    return Instance(
+        name=name,
+        depot=depot,
+        satellites=tuple(satellites),
+        customers=tuple(customers),
+        stations=tuple(stations),
+        q1_capacity=q1,
+        m1_fleet=m1,
+        q2_capacity=q2,
+        m2_global=m2,
+        battery_capacity=battery,
+        fixed_cost_l1=f1,
+        fixed_cost_l2=f2,
+    )
 
 
 def write_instance(inst: Instance) -> str:
@@ -564,12 +539,11 @@ def write_instance(inst: Instance) -> str:
     lines = [
         f"NAME {inst.name}",
         f"LEVEL1 {inst.m1_fleet} {inst.q1_capacity} {inst.fixed_cost_l1}",
-        "LEVEL2 {} {} {} {} {}".format(
+        "LEVEL2 {} {} {} {}".format(
             inst.m2_global,
             inst.q2_capacity,
             inst.fixed_cost_l2,
             "inf" if inst.battery_capacity is None else inst.battery_capacity,
-            inst.consumption_factor,
         ),
         f"DEPOT {inst.depot[0]} {inst.depot[1]}",
         f"SATELLITES {len(inst.satellites)}",
@@ -679,18 +653,18 @@ def unservable_customers(inst: Instance) -> list[int]:
 
     Between two consecutive full charges the vehicle travels from one
     charging location (or the home satellite) to the next; a visit to
-    customer c therefore costs at least the consumption to c from its
-    nearest charging location plus the consumption from c to the nearest
+    customer c therefore costs at least the distance to c from its
+    nearest charging location plus the distance from c to the nearest
     one, which must fit in one battery charge.  Instances with a non-empty
     result are provably infeasible (the converse does not always hold, but
     in practice this is the binding condition).
     """
-    limit = inst.battery_limit
+    limit = inst.battery_capacity
     if limit is None or not inst.charging_ids:
         return [] if limit is None else list(inst.customer_ids)
     out = []
     for c in inst.customer_ids:
-        nearest = min(inst.consumption(c, k) for k in inst.charging_ids)
+        nearest = min(inst.distance(c, k) for k in inst.charging_ids)
         if 2 * nearest > limit:
             out.append(c)
     return out

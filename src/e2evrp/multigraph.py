@@ -4,12 +4,12 @@ Between every admissible ordered vertex pair (satellite↔customer or
 customer→customer) the graph carries one *direct* arc plus one arc per
 charging location k reachable within battery range on both half-legs.  A
 via-station arc costs the full detour ``d(i,k) + d(k,j)`` but its arrival
-consumption is only ``c(k,j)`` because the battery is fully restored at k.
+consumption is only ``d(k,j)`` because the battery is fully restored at k.
 
 Each arc is a plain row ``(cost, consumption, station, station_leg)``:
-``consumption`` is the arrival consumption at the head in scaled units,
+``consumption`` is the distance driven since the last charge, at the head,
 ``station`` the charging location id or ``None`` for the direct leg, and
-``station_leg`` the consumption from the tail to the station (0 for the
+``station_leg`` the distance from the tail to the station (0 for the
 direct leg).  A graph maps each ordered pair ``(tail, head)`` to a tuple of
 such rows, its *bundle*; the charging DP and the ng pricing read the rows
 as they are.  Every bundle is sorted by cost, then arrival consumption,
@@ -101,37 +101,31 @@ def _pair_builder(inst: Instance) -> Callable[[int, int], tuple[Arc, ...]]:
     arcs would only let the integer rounding of detour legs masquerade as
     shortcuts.
     """
-    limit = inst.battery_limit
-    scale = inst.consumption_scale[0]
+    limit = inst.battery_capacity
     dist = inst._dist  # the table itself: the checked accessor costs a call per lookup
 
-    # reach[v]: {k: (d(v,k), c(v,k))} over the charging locations k != v within
-    # range; charging at an endpoint adds nothing over the direct arc
-    reach: dict[int, dict[int, tuple[int, int]]] = {}
+    # reach[v]: {k: d(v,k)} over the charging locations k != v within range;
+    # charging at an endpoint adds nothing over the direct arc
+    reach: dict[int, dict[int, int]] = {}
     for v in (*inst.satellite_ids, *inst.customer_ids):
-        near: dict[int, tuple[int, int]] = {}
-        if limit is not None:
-            row = dist[v]
-            for k in inst.charging_ids:
-                d = row[k]
-                if k != v and scale * d <= limit:
-                    near[k] = (d, scale * d)
-        reach[v] = near
+        row = dist[v]
+        reach[v] = {
+            k: row[k] for k in inst.charging_ids if limit is not None and k != v and row[k] <= limit
+        }
 
     def rows(i: int, j: int) -> tuple[Arc, ...]:
         near_j = reach[j]
         out: list[Arc] = []
-        for k, (d_ik, c_ik) in reach[i].items():
-            kj = near_j.get(k)
-            if kj is not None:
-                out.append((d_ik + kj[0], kj[1], k, c_ik))
+        for k, d_ik in reach[i].items():
+            d_kj = near_j.get(k)
+            if d_kj is not None:
+                out.append((d_ik + d_kj, d_kj, k, d_ik))
         out.sort()
         d_ij = dist[i][j]
-        c_ij = scale * d_ij
-        if limit is None or c_ij <= limit:
+        if limit is None or d_ij <= limit:
             # the direct arc sorts as station -1: ahead of the via arcs it
             # ties with on (cost, consumption)
-            out.insert(bisect_left(out, (d_ij, c_ij)), (d_ij, c_ij, None, 0))
+            out.insert(bisect_left(out, (d_ij, d_ij)), (d_ij, d_ij, None, 0))
         return tuple(out)
 
     return rows

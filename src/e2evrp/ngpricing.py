@@ -121,7 +121,7 @@ def price_ng_routes(
     demand = inst.demand
     q2 = inst.q2_capacity
     # no battery: no via-station rows, and every label fits every row
-    limit = inst.battery_limit if inst.battery_limit is not None else inf
+    limit = inst.battery_capacity if inst.battery_capacity is not None else inf
 
     def fits(bundle: tuple) -> list[tuple[int, int, float, bool]]:
         """Each row as (cost, consumption, room, direct): a label reaches the

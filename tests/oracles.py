@@ -49,11 +49,8 @@ def make_instance(
     battery: Optional[int] = None,
     f1: int = 0,
     f2: int = 0,
-    factor=None,
 ) -> Instance:
     """Compact literal instance builder for tests."""
-    from fractions import Fraction
-
     return Instance(
         name=name,
         depot=depot,
@@ -67,7 +64,6 @@ def make_instance(
         battery_capacity=battery,
         fixed_cost_l1=f1,
         fixed_cost_l2=f2,
-        consumption_factor=Fraction(factor) if factor is not None else Fraction(1),
     )
 
 
@@ -153,10 +149,10 @@ def brute_force_insertion(
     """
     if not customers:
         return (0, 0)
-    limit = inst.battery_limit
+    limit = inst.battery_capacity
     seq = (satellite, *customers, satellite)
     legs = len(seq) - 1
-    cons = inst.consumption
+    cons = inst.distance
     dist = inst.distance
 
     # per leg: list of (cost, entry requirement or None, arrival consumption)
@@ -226,14 +222,14 @@ def dense_insertion_cost(
     Only usable for small battery limits; serves as the reference the
     label-based implementation must match exactly.
     """
-    limit = inst.battery_limit
+    limit = inst.battery_capacity
     assert limit is not None and limit <= 5000, "dense table reference needs a small limit"
     if not customers:
         return 0
     seq = (satellite, *customers, satellite)
     INF = float("inf")
     f = [0.0] + [INF] * limit
-    cons = inst.consumption
+    cons = inst.distance
     dist = inst.distance
     for ln in range(len(seq) - 1):
         i, j = seq[ln], seq[ln + 1]
@@ -273,7 +269,7 @@ def _propagate_reference(
     customers: Sequence[int],
     penalized: bool,
 ) -> Optional[InsertionResult]:
-    limit = inst.battery_limit
+    limit = inst.battery_capacity
     seq = (satellite, *customers, satellite)
     # label: (w, dist, excess, parent index, station or None); layers kept
     # mutually nondominated componentwise in (w, dist, excess) -- the objective
@@ -287,7 +283,7 @@ def _propagate_reference(
             if not penalized:
                 return None
             # no admissible arc at all: ride the raw direct leg and pay for it
-            options = ((inst.distance(i, j), inst.consumption(i, j), None, 0),)
+            options = ((inst.distance(i, j), inst.distance(i, j), None, 0),)
         prev = layers[-1]
         nxt: list[tuple] = []
         for li, (w, dist, exc, _, _) in enumerate(prev):
@@ -442,7 +438,7 @@ def price_ng_routes_reference(
     nmask = {c: sum(bit[j] for j in ng.neighbors[c]) for c in custs}
     demand = inst.demand
     q2 = inst.q2_capacity
-    limit = inst.battery_limit
+    limit = inst.battery_capacity
 
     # labels[(vertex, load, memory mask)] -> nondominated [(w, cost)]
     labels: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
@@ -627,7 +623,7 @@ def multigraph_reference(inst: Instance, reduced: bool) -> dict[tuple[int, int],
     an unconstrained battery only direct arcs exist.  Rows are sorted by
     :func:`sort_key` and, when ``reduced``, thinned by :func:`reduce_bundle`.
     """
-    limit = inst.battery_limit
+    limit = inst.battery_capacity
     sats, custs = inst.satellite_ids, inst.customer_ids
     pairs = [(s, c) for s in sats for c in custs]
     pairs += [(c, s) for s in sats for c in custs]
@@ -635,11 +631,11 @@ def multigraph_reference(inst: Instance, reduced: bool) -> dict[tuple[int, int],
     out: dict[tuple[int, int], tuple[Arc, ...]] = {}
     for i, j in pairs:
         rows = []
-        if limit is None or inst.consumption(i, j) <= limit:
-            rows.append((inst.distance(i, j), inst.consumption(i, j), None, 0))
+        if limit is None or inst.distance(i, j) <= limit:
+            rows.append((inst.distance(i, j), inst.distance(i, j), None, 0))
         if limit is not None:
             for k in inst.charging_ids:
-                leg, last = inst.consumption(i, k), inst.consumption(k, j)
+                leg, last = inst.distance(i, k), inst.distance(k, j)
                 if k not in (i, j) and leg <= limit and last <= limit:
                     rows.append((inst.distance(i, k) + inst.distance(k, j), last, k, leg))
         bundle = tuple(sorted(rows, key=sort_key))
@@ -657,7 +653,7 @@ def multigraph_csv(graph: Multigraph) -> str:
     return "\n".join(rows) + "\n"
 
 
-def omega(w: int, arc: Arc, battery_limit: int) -> frozenset[int]:
+def omega(w: int, arc: Arc, battery_capacity: int) -> frozenset[int]:
     """Admissible predecessor consumptions for arriving along ``arc`` with ``w``.
 
     Direct arc: the single value ``w - c`` when the leg fits; via station k:
@@ -670,7 +666,7 @@ def omega(w: int, arc: Arc, battery_limit: int) -> frozenset[int]:
             return frozenset({w - cons})
         return frozenset()
     if w == cons:
-        hi = battery_limit - station_leg
+        hi = battery_capacity - station_leg
         if hi >= 0:
             return frozenset(range(hi + 1))
     return frozenset()

@@ -22,7 +22,7 @@ from e2evrp.bench import (
     write_sweep_csv,
 )
 from e2evrp.lns import LnsParams
-from e2evrp.model import parse_instance, write_instance
+from e2evrp.model import parse_instance, unservable_customers, write_instance
 
 from oracles import make_instance
 
@@ -192,6 +192,19 @@ def test_augment_is_deterministic_and_ratio_validated():
         augment_2evrp_instance(base, gamma1=100.0, station_ratio=0.5)
     with pytest.raises(ValueError):
         augment_2evrp_instance(base, gamma1=0.0)
+
+
+def test_augment_keeps_a_factored_base_servable():
+    """The base's consumption factor is folded into its range when it is read,
+    so the augmented battery and the consumption it is checked against are
+    both in distance."""
+    base = _classic_base()
+    lines = write_instance(base).splitlines()
+    lines[2] = " ".join(lines[2].split()[:5] + ["3/2"])  # LEVEL2 ... inf 3/2
+    factored = parse_instance("\n".join(lines) + "\n")
+    inst = augment_2evrp_instance(factored, gamma1=120.0, seed=2)
+    assert unservable_customers(inst) == []
+    assert inst == augment_2evrp_instance(base, gamma1=120.0, seed=2)
 
 
 def test_augmented_instance_parses_back():

@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from e2evrp import bench, cli
+from e2evrp import bench, cli, lns
 from e2evrp.cli import main
 from e2evrp.model import parse_instance, parse_solution, unservable_customers, write_instance
 from e2evrp.multigraph import build_multigraph, reduce_by_dominance
@@ -331,6 +331,27 @@ def test_bound_without_satellites_is_a_clean_error(tmp_path, as_json):
     res = CliRunner().invoke(main, ["bound", str(path), "--json"])
     assert res.exit_code == 0, res.output
     assert json.loads(res.output)["lower_bound"] == 0
+
+
+# customers and a station, but no satellite with a vehicle to serve them
+NO_VEHICLE = {
+    "no-satellite": NO_SATELLITE.replace("STATIONS 0\n", "STATIONS 1\n2 20 20\n"),
+    "empty-local-fleet": NO_SATELLITE.replace("SATELLITES 0\n", "SATELLITES 1\n3 0 0 - 0\n")
+    .replace("STATIONS 0\n", "STATIONS 1\n2 20 20\n"),
+}
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("name", list(NO_VEHICLE))
+def test_solve_without_a_satellite_vehicle_fails_before_any_restart(tmp_path, monkeypatch, name, as_json):
+    def repair(*args):
+        pytest.fail("lns_run started a restart on an instance no vehicle can serve")
+
+    monkeypatch.setattr(lns, "repair", repair)
+    path = tmp_path / f"{name}.txt"
+    path.write_text(NO_VEHICLE[name])
+    res = CliRunner().invoke(main, ["solve", str(path), "--time-limit", "2", *(["--json"] * as_json)])
+    assert "no satellite has a second-level vehicle" in _one_line_error(res, as_json, code=3)
 
 
 # satellite 1 reaches station 3 but not customer 2 through it; station 4 lies

@@ -95,10 +95,42 @@ def test_parse_sample_instance():
     assert inst.satellite_by_id[2].capacity == 150
     assert inst.total_demand == 115
     assert inst.charging_ids == (1, 2, 7)
-    assert inst.consumption_factor == 1
     # a LEVEL2 line without the factor reads as factor 1
     no_factor = parse_instance(SAMPLE.replace("LEVEL2 4 125 7 300 1", "LEVEL2 4 125 7 300"))
     assert no_factor == inst
+
+
+@pytest.mark.parametrize(
+    "battery, factor, folded",
+    [("300", "3/2", "200"), ("301", "3/2", "200"), ("300", "0.7", "428"), ("7", "7", "1"),
+     ("inf", "5/4", "inf")],
+)
+def test_factored_battery_parses_as_its_folded_range(battery, factor, folded):
+    factored = parse_instance(SAMPLE.replace("300 1", f"{battery} {factor}"))
+    twin = parse_instance(SAMPLE.replace("300 1", folded))
+    assert factored == twin
+    # the factor is folded away, so it is not written back
+    assert f"LEVEL2 4 125 7 {folded}\n" in write_instance(factored)
+
+
+def test_folded_range_agrees_with_the_scaled_check():
+    """``S <= floor(q L / p)`` iff ``p S <= q L`` for every integer leg sum S."""
+    rng = random.Random(23)
+    draws = 0
+    for _ in range(2000):
+        p, q, battery = rng.randint(1, 60), rng.randint(1, 60), rng.randint(1, 5000)
+        text = SAMPLE.replace("300 1", f"{battery} {p}/{q}")
+        if q * battery < p:
+            with pytest.raises(InstanceError, match="is a range below 1"):
+                parse_instance(text)
+            continue
+        folded = parse_instance(text).battery_capacity
+        edge = q * battery // p
+        for _ in range(100):
+            s = rng.randint(max(0, edge - 3), edge + 3) if rng.random() < 0.5 else rng.randint(0, 2 * edge + 2)
+            assert (s <= folded) == (p * s <= q * battery)
+            draws += 1
+    assert draws > 150_000
 
 
 def test_roundtrip_is_byte_stable():
@@ -115,7 +147,7 @@ def test_writer_conventions():
     zero_fix = make_instance(customers=((3, (5, 5), 10),), q2=50, q1=100)
     out = write_instance(zero_fix)
     assert "LEVEL1 10 100 0" in out  # zeros written explicitly
-    assert " inf " in out  # unconstrained battery
+    assert " inf\n" in out  # unconstrained battery, the last LEVEL2 field
 
 
 def test_demand_exceeding_q2_rejected_with_line_number():
@@ -146,10 +178,11 @@ def test_malformed_section_reports_line():
         (SAMPLE.replace("300 1", "300 x"), "line 4: bad consumption factor 'x'"),
         (SAMPLE.replace("300 1", "300 1/0"), "line 4: bad consumption factor '1/0'"),
         (SAMPLE.replace("300 1", "300 0"), "line 4: consumption factor must be positive"),
+        (SAMPLE.replace("300 1", "300 301"), "line 4: battery 300 / factor 301 is a range below 1"),
         (SAMPLE + "STATIONS 0\n", "line 16: unexpected trailing content 'STATIONS'"),
     ],
     ids=["eof-before-section", "eof-in-section", "section-name", "row-width",
-         "bad-factor", "factor-over-zero", "zero-factor", "trailing"],
+         "bad-factor", "factor-over-zero", "zero-factor", "fold-below-one", "trailing"],
 )
 def test_parse_instance_errors_name_the_line(text, message):
     with pytest.raises(InstanceError) as err:
@@ -409,10 +442,10 @@ def test_battery_trace_prefixes_within_limit():
     order = [10, 11, 12, 13, 14]
     sol = _solution_for(inst, visits=tuple(order), load=25)
     if check_feasibility(inst, sol) == []:
-        limit = inst.battery_limit
+        limit = inst.battery_capacity
         w, prev = 0, 1
         for v in order:
-            w += inst.consumption(prev, v)
+            w += inst.distance(prev, v)
             assert 0 <= w <= limit
             prev = v
 

@@ -78,18 +78,18 @@ def test_arc_invariants_hold():
     rng = random.Random(5)
     for _ in range(10):
         inst = random_instance(rng, n_c=6, n_s=2, n_r=3, battery=180)
-        limit = inst.battery_limit
+        limit = inst.battery_capacity
         g = build_multigraph(inst)
         for i, j in g.pairs():
             for cost, consumption, station, station_leg in g.arcs(i, j):
                 if station is None:
                     assert cost == inst.distance(i, j)
-                    assert consumption == inst.consumption(i, j) <= limit
+                    assert consumption == inst.distance(i, j) <= limit
                 else:
                     k = station
                     assert cost == inst.distance(i, k) + inst.distance(k, j)
-                    assert consumption == inst.consumption(k, j) <= limit
-                    assert station_leg == inst.consumption(i, k) <= limit
+                    assert consumption == inst.distance(k, j) <= limit
+                    assert station_leg == inst.distance(i, k) <= limit
 
 
 def test_unconstrained_battery_builds_direct_only():
