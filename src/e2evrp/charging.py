@@ -57,7 +57,7 @@ _EMPTY = InsertionResult(True, 0, (), 0, 0)
 
 def _raw_leg(inst: Instance, i: int, j: int) -> tuple[tuple, ...]:
     """The one row of a leg with no admissible arc: the raw direct leg."""
-    d = inst.distance(i, j)
+    d = inst.dist[i][j]
     return ((d, d, None, 0),)
 
 

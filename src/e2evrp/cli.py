@@ -318,12 +318,16 @@ def sweep(mode, levels, instances, runs, budget, workers, battery, stations, out
             f"mean station visits {rec.mean_station_visits:.2f}"
         )
     if mode == "density":
+        # a power law is fitted on the log-log plane: name what it cannot take
+        fit = [r for r in records if r.level > 0 and r.mean_detour_pct > 0]
+        dropped = ", ".join(str(r.level) for r in records if r not in fit)
+        note = f"; dropped level(s) {dropped}: level or mean detour not positive" if dropped else ""
         try:
-            alpha, beta, _ = bench.fit_power_law([(r.level, r.mean_detour_pct) for r in records])
+            alpha, beta, _ = bench.fit_power_law([(r.level, r.mean_detour_pct) for r in fit])
         except ValueError as exc:
-            click.echo(f"power-law fit skipped: {exc}")
+            click.echo(f"power-law fit skipped: {exc}{note}")
         else:
-            click.echo(f"power-law fit: alpha {alpha:.3f} beta {beta:.3f}")
+            click.echo(f"power-law fit: alpha {alpha:.3f} beta {beta:.3f}{note}")
             click.echo(f"doubling the station count cuts detours by {100 * (1 - 2**-beta):.0f}%")
     click.echo(f"wrote {out}")
 

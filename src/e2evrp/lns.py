@@ -31,13 +31,7 @@ from math import inf
 from typing import Optional
 
 from .localsearch import local_search
-from .model import (
-    CostBreakdown,
-    Instance,
-    Solution,
-    check_feasibility,
-    unservable_customers,
-)
+from .model import CostBreakdown, Instance, Solution, check_feasibility, unservable_reason
 from .search import SolverContext, WorkingRoute, WorkingSolution, build_first_level
 
 
@@ -243,7 +237,7 @@ def _insert_all(
 ) -> bool:
     """Place each customer at its single cheapest feasible position."""
     inst = ctx.inst
-    dist = inst.distance
+    dist = inst.dist
     q2 = inst.q2_capacity
     f2 = inst.fixed_cost_l2
     sat_dem = sol.sat_demand()
@@ -263,7 +257,7 @@ def _insert_all(
             prev = k
             for pos in range(len(custs) + 1):
                 nxt = custs[pos] if pos < len(custs) else k
-                delta = dist(prev, c) + dist(c, nxt) - dist(prev, nxt)
+                delta = dist[prev][c] + dist[c][nxt] - dist[prev][nxt]
                 if best is None or delta < best[0]:
                     best = (delta, ri, pos)
                 prev = nxt
@@ -274,7 +268,7 @@ def _insert_all(
                     continue
                 if sat.capacity is not None and sat_dem.get(k, 0) + q > sat.capacity:
                     continue
-                delta = 2 * dist(k, c) + f2
+                delta = 2 * dist[k][c] + f2
                 if best is None or delta < best[0]:
                     best = (delta, -1, k)
         if best is None:
@@ -350,24 +344,16 @@ def lns_run(inst: Instance, params: LnsParams) -> tuple[Solution, RunStats]:
     """Run the metaheuristic; returns the best feasible solution found.
 
     Raises :class:`ConstructionError` when no feasible solution could be
-    built before the budget ran out, and before the first restart when no
-    satellite has a second-level vehicle.
+    built before the budget ran out, and before the first restart when
+    :func:`~e2evrp.model.unservable_reason` refuses the instance.
     """
     start = time.monotonic()
     if not inst.customers:
         empty = Solution((), (), CostBreakdown(0, 0, 0, 0))
         return empty, RunStats(0, 0, 0, 0, -1, 0.0, time.monotonic() - start)
-    if not any(s.m2_local for s in inst.satellites):
-        raise ConstructionError(
-            "construction failed before any restart: no satellite has a second-level "
-            "vehicle to serve the customers"
-        )
-    dead = unservable_customers(inst)
-    if dead:
-        raise ConstructionError(
-            f"instance is infeasible: customer(s) {dead} cannot be reached within "
-            "one battery charge from any charging location"
-        )
+    reason = unservable_reason(inst)
+    if reason:
+        raise ConstructionError(f"construction failed before any restart: {reason}")
 
     ctx = SolverContext.build(inst, params.granularity)
     rng = random.Random(params.seed)

@@ -121,7 +121,7 @@ class _LsState:
         self.refresh(ctx)
 
     def refresh(self, ctx: SolverContext) -> None:
-        D = self.dist = ctx.inst._dist
+        D = self.dist = ctx.inst.dist
         demand = ctx.inst.demand
         self.units: list[list[Unit]] = []
         self.fwd: list[list[int]] = []

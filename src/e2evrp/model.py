@@ -1,7 +1,10 @@
 """Problem data model: instances, solutions, distances, feasibility, file I/O.
 
 All vertices live on an integer grid and travel cost between two vertices is
-the Euclidean distance rounded half-up to the nearest integer.  Battery
+the Euclidean distance rounded half-up to the nearest integer.  Every module
+reads this metric from one table, ``Instance.dist``: ``dist[a][b]`` for any
+two vertex ids, the depot and the stations included.  It checks no id, so
+code that reads ids from outside (a solution file) checks them first.  Battery
 consumption is travel distance: ``battery_capacity`` is the driving range,
 and a leg consumes its distance.  An instance file may scale consumption by a
 rational factor f; distances are integers, so a leg sum S fits the battery L
@@ -154,7 +157,8 @@ class Instance:
     # -- metric ------------------------------------------------------------
 
     @cached_property
-    def _dist(self) -> dict[int, dict[int, int]]:
+    def dist(self) -> dict[int, dict[int, int]]:
+        """The metric: ``dist[a][b]`` for every pair of vertex ids, depot included."""
         pos = self.positions
         ids = list(pos)
         d: dict[int, dict[int, int]] = {i: {} for i in ids}
@@ -166,12 +170,6 @@ class Instance:
                 row[b] = d[b][a] = rounded_distance(pa, pos[b])
         return d
 
-    def distance(self, a: int, b: int) -> int:
-        try:
-            return self._dist[a][b]
-        except KeyError:
-            raise ValueError(f"unknown vertex id in distance query: ({a}, {b})") from None
-
     @cached_property
     def big_m(self) -> int:
         """Penalty weight strictly exceeding any achievable route distance.
@@ -179,13 +177,7 @@ class Instance:
         A route traverses each ordered vertex pair at most once, so one plus
         the sum of all pairwise distances is a safe bound.
         """
-        ids = list(self.positions)
-        total = 0
-        for a in ids:
-            row = self._dist[a]
-            for b in ids:
-                total += row[b]
-        return total + 1
+        return 1 + sum(sum(row.values()) for row in self.dist.values())
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +232,9 @@ def evaluate_cost(inst: Instance, sol: Solution) -> CostBreakdown:
         for sat, _qty in route.stops:
             if sat not in inst.satellite_by_id:
                 raise ValueError(f"unknown satellite id {sat} in first-level route")
-            l1 += inst.distance(prev, sat)
+            l1 += inst.dist[prev][sat]
             prev = sat
-        l1 += inst.distance(prev, DEPOT_ID)
+        l1 += inst.dist[prev][DEPOT_ID]
     l2 = 0
     for route in sol.second_level_routes:
         if route.satellite not in inst.satellite_by_id:
@@ -251,9 +243,9 @@ def evaluate_cost(inst: Instance, sol: Solution) -> CostBreakdown:
         for v in route.visits:
             if v not in inst.positions or v == DEPOT_ID:
                 raise ValueError(f"unknown vertex id {v} in second-level route")
-            l2 += inst.distance(prev, v)
+            l2 += inst.dist[prev][v]
             prev = v
-        l2 += inst.distance(prev, route.satellite)
+        l2 += inst.dist[prev][route.satellite]
     fixed = inst.fixed_cost_l1 * len(sol.first_level_routes) + inst.fixed_cost_l2 * len(
         sol.second_level_routes
     )
@@ -304,7 +296,7 @@ def check_feasibility(inst: Instance, sol: Solution) -> list[str]:
             if v in customers:
                 load += inst.demand[v]
             if limit is not None:
-                w += inst.distance(prev, v)
+                w += inst.dist[prev][v]
                 if w > limit:
                     out.append(f"{tag}: battery exceeded at {v}")
             if is_charge:
@@ -314,7 +306,7 @@ def check_feasibility(inst: Instance, sol: Solution) -> list[str]:
         if not ok_ids:
             continue
         if limit is not None:
-            w += inst.distance(prev, route.satellite)
+            w += inst.dist[prev][route.satellite]
             if w > limit:
                 out.append(f"{tag}: battery exceeded on return leg")
         if load != route.load:
@@ -656,15 +648,33 @@ def unservable_customers(inst: Instance) -> list[int]:
     customer c therefore costs at least the distance to c from its
     nearest charging location plus the distance from c to the nearest
     one, which must fit in one battery charge.  Instances with a non-empty
-    result are provably infeasible (the converse does not always hold, but
-    in practice this is the binding condition).
+    result are provably infeasible.  The converse does not always hold: a
+    customer can pass this screen and still lie on no closed route within
+    the battery.
     """
     limit = inst.battery_capacity
     if limit is None or not inst.charging_ids:
         return [] if limit is None else list(inst.customer_ids)
     out = []
     for c in inst.customer_ids:
-        nearest = min(inst.distance(c, k) for k in inst.charging_ids)
+        nearest = min(inst.dist[c][k] for k in inst.charging_ids)
         if 2 * nearest > limit:
             out.append(c)
     return out
+
+
+def unservable_reason(inst: Instance) -> Optional[str]:
+    """Why no solution can exist, read off the instance alone, or ``None``.
+
+    Refuses an instance with customers when no satellite has a second-level
+    vehicle, or when :func:`unservable_customers` is non-empty.  Both
+    ``lns_run`` and ``bound_report`` call it before any search or pricing.
+    """
+    if not inst.customers:
+        return None
+    if not any(s.m2_local for s in inst.satellites):
+        return "no satellite has a second-level vehicle to serve the customers"
+    dead = unservable_customers(inst)
+    if dead:
+        return f"customer(s) {dead} cannot be reached within one battery charge from any charging location"
+    return None

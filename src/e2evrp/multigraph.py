@@ -102,7 +102,7 @@ def _pair_builder(inst: Instance) -> Callable[[int, int], tuple[Arc, ...]]:
     shortcuts.
     """
     limit = inst.battery_capacity
-    dist = inst._dist  # the table itself: the checked accessor costs a call per lookup
+    dist = inst.dist
 
     # reach[v]: {k: d(v,k)} over the charging locations k != v within range;
     # charging at an endpoint adds nothing over the direct arc

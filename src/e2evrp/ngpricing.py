@@ -57,7 +57,7 @@ from fractions import Fraction
 from math import ceil, inf
 from typing import Optional
 
-from .model import DEPOT_ID, Instance
+from .model import DEPOT_ID, Instance, unservable_reason
 from .multigraph import Multigraph
 from .search import build_neighbor_lists
 
@@ -287,8 +287,8 @@ def _bound_from_tables(inst: Instance, tables: dict[int, NgRouteTable]) -> int:
         return 0
     q_tot = inst.total_demand
     f1, f2 = inst.fixed_cost_l1, inst.fixed_cost_l2
-    d0 = {k: inst.distance(DEPOT_ID, k) for k in inst.satellite_ids}
-    first_floor = ceil(q_tot / inst.q1_capacity) * (f1 + 2 * min(d0.values()))
+    d0 = inst.dist[DEPOT_ID]
+    first_floor = ceil(q_tot / inst.q1_capacity) * (f1 + 2 * min(d0[k] for k in tables))
 
     unit_best: Optional[Fraction] = None
     joint: Optional[int] = None
@@ -319,14 +319,21 @@ def bound_report(
 ) -> dict:
     """JSON-friendly summary: per-satellite pricing digests plus the global bound.
 
+    Only satellites with a second-level vehicle are priced and reported.
     Raises ``ValueError`` when the instance has customers but no satellite
-    to serve them from, or no satellite has a closed route within the battery.
+    to serve them from, when :func:`~e2evrp.model.unservable_reason` refuses
+    it as ``lns_run`` does, or when no satellite has a closed route within
+    the battery.
     """
     if inst.customers and not inst.satellites:
         raise ValueError("instance has customers but no satellite to serve them")
+    reason = unservable_reason(inst)
+    if reason:
+        raise ValueError(reason)
     tables = {
-        k: price_ng_routes(inst, graph, k, ng, max_states=max_states)
-        for k in inst.satellite_ids
+        s.id: price_ng_routes(inst, graph, s.id, ng, max_states=max_states)
+        for s in inst.satellites
+        if s.m2_local > 0
     }
     per_sat = {}
     for k, tbl in tables.items():

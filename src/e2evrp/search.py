@@ -40,7 +40,7 @@ def build_neighbor_lists(inst: Instance, gamma: int) -> dict[int, tuple[int, ...
     ids = inst.customer_ids
     out: dict[int, tuple[int, ...]] = {}
     for i in ids:
-        row = inst._dist[i]
+        row = inst.dist[i]
         ranked = sorted((row[j], j) for j in ids if j != i)
         out[i] = tuple(j for _, j in ranked[:gamma])
     return out
@@ -190,7 +190,7 @@ def build_first_level(
             d -= q1
         residual[k] = d
 
-    dist = inst.distance
+    dist = inst.dist
     for k in sorted(residual):
         q = residual[k]
         best: Optional[tuple[int, int, int]] = None  # (delta, route idx, pos)
@@ -199,11 +199,11 @@ def build_first_level(
                 continue
             seq = [DEPOT_ID, *(s for s, _ in stops), DEPOT_ID]
             for pos in range(len(stops) + 1):
-                delta = dist(seq[pos], k) + dist(k, seq[pos + 1]) - dist(seq[pos], seq[pos + 1])
+                delta = dist[seq[pos]][k] + dist[k][seq[pos + 1]] - dist[seq[pos]][seq[pos + 1]]
                 if best is None or delta < best[0]:
                     best = (delta, ri, pos)
         if len(routes) < inst.m1_fleet:
-            open_delta = 2 * dist(DEPOT_ID, k) + inst.fixed_cost_l1
+            open_delta = 2 * dist[DEPOT_ID][k] + inst.fixed_cost_l1
             if best is None or open_delta < best[0]:
                 best = (open_delta, -1, 0)
         if best is None:
@@ -222,7 +222,7 @@ def build_first_level(
     for stops in routes:
         prev = DEPOT_ID
         for s, _ in stops:
-            total += dist(prev, s)
+            total += dist[prev][s]
             prev = s
-        total += dist(prev, DEPOT_ID)
+        total += dist[prev][DEPOT_ID]
     return [FirstLevelRoute(tuple(stops)) for stops in routes], total

@@ -152,26 +152,26 @@ def brute_force_insertion(
     limit = inst.battery_capacity
     seq = (satellite, *customers, satellite)
     legs = len(seq) - 1
-    cons = inst.distance
-    dist = inst.distance
+    cons = inst.dist
+    dist = inst.dist
 
     # per leg: list of (cost, entry requirement or None, arrival consumption)
     options: list[list[tuple[int, Optional[int], int]]] = []
     for ln in range(legs):
         i, j = seq[ln], seq[ln + 1]
         opts: list[tuple[int, Optional[int], int]] = []
-        if limit is None or cons(i, j) <= limit:
-            opts.append((dist(i, j), None, cons(i, j)))
+        if limit is None or cons[i][j] <= limit:
+            opts.append((dist[i][j], None, cons[i][j]))
         if limit is not None:
             for k in inst.charging_ids:
                 if k in (i, j):
                     continue
-                if cons(i, k) <= limit and cons(k, j) <= limit:
-                    opts.append((dist(i, k) + dist(k, j), cons(i, k), cons(k, j)))
+                if cons[i][k] <= limit and cons[k][j] <= limit:
+                    opts.append((dist[i][k] + dist[k][j], cons[i][k], cons[k][j]))
         if not opts:
             if not penalized:
                 return (0, None)
-            opts.append((dist(i, j), None, cons(i, j)))
+            opts.append((dist[i][j], None, cons[i][j]))
         opts.sort(key=lambda o: (o[0], -1 if o[1] is None else o[1], o[2]))
         options.append(opts)
 
@@ -229,24 +229,24 @@ def dense_insertion_cost(
     seq = (satellite, *customers, satellite)
     INF = float("inf")
     f = [0.0] + [INF] * limit
-    cons = inst.distance
-    dist = inst.distance
+    cons = inst.dist
+    dist = inst.dist
     for ln in range(len(seq) - 1):
         i, j = seq[ln], seq[ln + 1]
         g = [INF] * (limit + 1)
-        c_ij = cons(i, j)
+        c_ij = cons[i][j]
         if c_ij <= limit:
-            d_ij = dist(i, j)
+            d_ij = dist[i][j]
             for w in range(limit - c_ij + 1):
                 if f[w] + d_ij < g[w + c_ij]:
                     g[w + c_ij] = f[w] + d_ij
         for k in inst.charging_ids:
             if k in (i, j):
                 continue
-            c_ik, c_kj = cons(i, k), cons(k, j)
+            c_ik, c_kj = cons[i][k], cons[k][j]
             if c_ik > limit or c_kj > limit:
                 continue
-            d_via = dist(i, k) + dist(k, j)
+            d_via = dist[i][k] + dist[k][j]
             feed = min((f[w] for w in range(limit - c_ik + 1)), default=INF)
             if feed + d_via < g[c_kj]:
                 g[c_kj] = feed + d_via
@@ -283,7 +283,7 @@ def _propagate_reference(
             if not penalized:
                 return None
             # no admissible arc at all: ride the raw direct leg and pay for it
-            options = ((inst.distance(i, j), inst.distance(i, j), None, 0),)
+            options = ((inst.dist[i][j], inst.dist[i][j], None, 0),)
         prev = layers[-1]
         nxt: list[tuple] = []
         for li, (w, dist, exc, _, _) in enumerate(prev):
@@ -631,13 +631,13 @@ def multigraph_reference(inst: Instance, reduced: bool) -> dict[tuple[int, int],
     out: dict[tuple[int, int], tuple[Arc, ...]] = {}
     for i, j in pairs:
         rows = []
-        if limit is None or inst.distance(i, j) <= limit:
-            rows.append((inst.distance(i, j), inst.distance(i, j), None, 0))
+        if limit is None or inst.dist[i][j] <= limit:
+            rows.append((inst.dist[i][j], inst.dist[i][j], None, 0))
         if limit is not None:
             for k in inst.charging_ids:
-                leg, last = inst.distance(i, k), inst.distance(k, j)
+                leg, last = inst.dist[i][k], inst.dist[k][j]
                 if k not in (i, j) and leg <= limit and last <= limit:
-                    rows.append((inst.distance(i, k) + inst.distance(k, j), last, k, leg))
+                    rows.append((inst.dist[i][k] + inst.dist[k][j], last, k, leg))
         bundle = tuple(sorted(rows, key=sort_key))
         out[i, j] = reduce_bundle(bundle, i in sats) if reduced else bundle
     return out

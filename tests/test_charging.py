@@ -163,7 +163,7 @@ def test_penalty_lexicographically_dominates_distance():
         inst = random_instance(rng, n_c=5, n_s=1, n_r=2, span=90, battery=100)
         # any assignment with excess costs more than any feasible route can
         longest_possible = sum(
-            inst.distance(a, b) for a in inst.positions for b in inst.positions
+            inst.dist[a][b] for a in inst.positions for b in inst.positions
         )
         assert inst.big_m > longest_possible
 

@@ -1,9 +1,10 @@
 import json
+import warnings
 
 import pytest
 from click.testing import CliRunner
 
-from e2evrp import bench, cli, lns
+from e2evrp import bench, cli, lns, ngpricing
 from e2evrp.cli import main
 from e2evrp.model import parse_instance, parse_solution, unservable_customers, write_instance
 from e2evrp.multigraph import build_multigraph, reduce_by_dominance
@@ -190,11 +191,18 @@ def test_sweep_fit_and_full_family(tmp_path, monkeypatch):
     assert res.exit_code == 0, res.output
     assert calls[-1] == (list(bench.BATTERY_LEVELS), "battery")
     assert "power-law" not in res.output
-    # one positive mean is not enough for a fit, and the output says so
-    res = CliRunner().invoke(main, ["sweep", "--mode", "density", "--levels", "0,5", "--out", out])
+    # a level without a positive mean detour is named on the fit line, not
+    # warned about; one positive mean is not enough for a fit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = CliRunner().invoke(main, ["sweep", "--mode", "density", "--levels", "0,2,5,10", "--out", out])
+        assert res.exit_code == 0, res.output
+        assert "beta 1.250; dropped level(s) 0: level or mean detour not positive" in res.output
+        res = CliRunner().invoke(main, ["sweep", "--mode", "density", "--levels", "0,5", "--out", out])
     assert res.exit_code == 0, res.output
     assert calls[-1] == ([0, 5], "density")
     assert "power-law fit skipped" in res.output
+    assert "dropped level(s) 0" in res.output
 
 
 def test_bound_cli(tmp_path):
@@ -377,6 +385,52 @@ def test_bound_without_a_closed_route_is_a_clean_error(tmp_path, as_json):
     path.write_text(NO_CLOSED_ROUTE)
     res = CliRunner().invoke(main, ["bound", str(path), *(["--json"] * as_json)])
     assert "no satellite has a closed route within the battery" in _one_line_error(res, as_json)
+
+
+# one satellite with a vehicle; customer 4 lies further than half the battery
+# range (100) from every charging location
+FAR_CUSTOMER = """\
+NAME far
+LEVEL1 1 100
+LEVEL2 1 50 0 100
+DEPOT 0 0
+SATELLITES 1
+3 0 0 - 1
+CUSTOMERS 2
+1 10 10 5
+4 300 300 5
+STATIONS 1
+2 20 20
+"""
+
+BOUND_REFUSED = {
+    "empty-local-fleet": (NO_VEHICLE["empty-local-fleet"], "no satellite has a second-level vehicle"),
+    "far-customer": (FAR_CUSTOMER, "customer(s) [4] cannot be reached within one battery charge"),
+}
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("name", list(BOUND_REFUSED))
+def test_bound_refuses_what_solve_refuses(tmp_path, monkeypatch, name, as_json):
+    def price(*args, **kwargs):
+        pytest.fail("bound priced an instance that solve refuses")
+
+    monkeypatch.setattr(ngpricing, "price_ng_routes", price)
+    text, message = BOUND_REFUSED[name]
+    path = tmp_path / f"{name}.txt"
+    path.write_text(text)
+    flags = ["--json"] * as_json
+    res = CliRunner().invoke(main, ["bound", str(path), *flags])
+    assert message in _one_line_error(res, as_json)
+    res = CliRunner().invoke(main, ["solve", str(path), "--time-limit", "2", *flags])
+    assert message in _one_line_error(res, as_json, code=3)
+
+
+def test_bound_prices_only_satellites_with_a_vehicle():
+    inst = parse_instance(TINY.replace("2 360 140 - 6\n", "2 360 140 - 0\n"))
+    report = bound_report(inst, reduce_by_dominance(build_multigraph(inst)), NgSets.build(inst, delta=3))
+    assert list(report["satellites"]) == ["1"]
+    assert report["lower_bound"] > 0
 
 
 @pytest.mark.parametrize("as_json", [False, True])

@@ -169,7 +169,7 @@ def _frozen_distance(inst, satellite, anchor, pairs):
     for c, stop in pairs:
         visits += [c] if stop is None else [c, stop]
     visits.append(satellite)
-    return sum(inst.distance(a, b) for a, b in zip(visits, visits[1:]))
+    return sum(inst.dist[a][b] for a, b in zip(visits, visits[1:]))
 
 
 def test_segment_evaluator_matches_spliced_routes(monkeypatch):

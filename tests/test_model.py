@@ -21,7 +21,7 @@ from e2evrp.model import (
     write_solution,
 )
 
-from oracles import make_instance
+from oracles import make_instance, metro_instance, random_instance
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +61,22 @@ def test_rounded_distance_symmetric_and_accurate(ax, ay, bx, by):
     assert 4 * d2 <= (2 * r + 1) ** 2
     if r > 0:
         assert (2 * r - 1) ** 2 <= 4 * d2
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [random_instance(random.Random(11), n_c=8, n_s=2, n_r=3), metro_instance(10, 5)],
+    ids=["random", "metro"],
+)
+def test_dist_is_the_metric(inst):
+    dist, pos = inst.dist, inst.positions
+    assert sorted(dist) == sorted(pos)
+    for a in pos:
+        assert sorted(dist[a]) == sorted(pos)
+        assert dist[a][a] == 0
+        for b in pos:
+            assert dist[a][b] == dist[b][a] == rounded_distance(pos[a], pos[b])
+    assert inst.big_m == 1 + sum(dist[a][b] for a in pos for b in pos)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +461,7 @@ def test_battery_trace_prefixes_within_limit():
         limit = inst.battery_capacity
         w, prev = 0, 1
         for v in order:
-            w += inst.distance(prev, v)
+            w += inst.dist[prev][v]
             assert 0 <= w <= limit
             prev = v
 

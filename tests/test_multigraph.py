@@ -83,13 +83,13 @@ def test_arc_invariants_hold():
         for i, j in g.pairs():
             for cost, consumption, station, station_leg in g.arcs(i, j):
                 if station is None:
-                    assert cost == inst.distance(i, j)
-                    assert consumption == inst.distance(i, j) <= limit
+                    assert cost == inst.dist[i][j]
+                    assert consumption == inst.dist[i][j] <= limit
                 else:
                     k = station
-                    assert cost == inst.distance(i, k) + inst.distance(k, j)
-                    assert consumption == inst.distance(k, j) <= limit
-                    assert station_leg == inst.distance(i, k) <= limit
+                    assert cost == inst.dist[i][k] + inst.dist[k][j]
+                    assert consumption == inst.dist[k][j] <= limit
+                    assert station_leg == inst.dist[i][k] <= limit
 
 
 def test_unconstrained_battery_builds_direct_only():
