@@ -36,7 +36,7 @@ from .model import (
     count_station_visits,
     evaluate_cost,
     rounded_distance,
-    unservable_customers,
+    unservable_reason,
 )
 
 DENSITY_LEVELS = (2, 3, 5, 10, 15, 20, 25, 30, 40, 50)
@@ -179,17 +179,20 @@ class FamilyError(ValueError):
 
 
 def feasible_metro_seeds(binding: MetroGenConfig, count: int) -> list[int]:
-    """First ``count`` seeds in ``SEED_WINDOW`` whose instance passes the structural screen.
+    """First ``count`` seeds in ``SEED_WINDOW`` whose instance
+    :func:`~e2evrp.model.unservable_reason` accepts, so that ``lns_run``
+    refuses none of them.
 
     ``binding`` should be the tightest member of an instance family (fewest
-    stations, smallest battery): adding stations or battery can only help, so
-    a seed accepted there is servable at every other level, and all levels
-    share one seed list, keeping everything but the varied feature identical.
+    stations, smallest battery): adding stations or battery can only help, and
+    the fleet checks see neither, so a seed accepted there is servable at
+    every other level, and all levels share one seed list, keeping everything
+    but the varied feature identical.
     """
     servable = (
         s
         for s in SEED_WINDOW
-        if not unservable_customers(generate_metro_instance(replace(binding, seed=s)))
+        if not unservable_reason(generate_metro_instance(replace(binding, seed=s)))
     )
     seeds = list(islice(servable, count))
     if len(seeds) < count:

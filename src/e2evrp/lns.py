@@ -31,7 +31,8 @@ from math import inf
 from typing import Optional
 
 from .localsearch import local_search
-from .model import CostBreakdown, Instance, Solution, check_feasibility, unservable_reason
+from .model import CostBreakdown, Instance, Solution, check_feasibility
+from .model import second_level_capacity, unservable_reason
 from .search import SolverContext, WorkingRoute, WorkingSolution, build_first_level
 
 
@@ -148,24 +149,14 @@ def close_satellite(
     closed: set[int],
     rng: random.Random,
 ) -> None:
-    """Close one random satellite when the remaining ones can still cover demand."""
+    """Close one random satellite when the remaining ones can still carry the
+    demand (:func:`~e2evrp.model.second_level_capacity`)."""
     inst = ctx.inst
     k = rng.choice(inst.satellite_ids)
     if k in closed:
         return
-    rest = [s for s in inst.satellite_ids if s != k and s not in closed]
-    if not rest:
-        return
-    coverage = 0.0
-    fleet = 0
-    for s in rest:
-        sat = inst.satellite_by_id[s]
-        cap = inf if sat.capacity is None else sat.capacity
-        coverage += min(cap, sat.m2_local * inst.q2_capacity)
-        fleet += sat.m2_local
-    if coverage < inst.total_demand:
-        return
-    if min(fleet, inst.m2_global) * inst.q2_capacity < inst.total_demand:
+    rest = [s for s in inst.satellites if s.id != k and s.id not in closed]
+    if second_level_capacity(inst, rest) < inst.total_demand:
         return
     closed.add(k)
     for idx in range(len(sol.routes) - 1, -1, -1):
@@ -304,10 +295,7 @@ def repair(
         cand = sol.clone()
         if not _insert_all(ctx, cand, order, closed):
             continue
-        first = build_first_level(ctx.inst, cand.sat_demand())
-        if first is None:
-            continue
-        cand.first_level, cand.l1_distance = first
+        cand.first_level, cand.l1_distance = build_first_level(ctx.inst, cand.sat_demand())
         cand.ensure_plans(ctx)
         return cand
     return None
@@ -315,24 +303,6 @@ def repair(
 
 def _by_demand(ctx: SolverContext, customers: list[int]) -> list[int]:
     return sorted(customers, key=lambda c: (-ctx.inst.demand[c], c))
-
-
-def _construction_failure(ctx: SolverContext) -> str:
-    """The step at which building a solution from scratch fails.
-
-    Every failed construction ends with the same deterministic attempt,
-    largest demand first and no satellite closed; it is replayed here.
-    """
-    inst = ctx.inst
-    if not _insert_all(ctx, WorkingSolution(), _by_demand(ctx, list(inst.customer_ids)), set()):
-        return (
-            "second-level insertion could not place every customer within the "
-            "vehicle capacity, the satellite capacities and the second-level fleet"
-        )
-    return (
-        f"the first-level fleet of {inst.m1_fleet} vehicle(s) cannot carry the "
-        "satellite demands"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +387,9 @@ def lns_run(inst: Instance, params: LnsParams) -> tuple[Solution, RunStats]:
 
     if not constructed:
         raise ConstructionError(
-            f"construction failed in all {restarts} restart(s): "
-            + _construction_failure(ctx)
+            f"construction failed in all {restarts} restart(s): second-level insertion "
+            "could not place every customer within the vehicle capacity, the satellite "
+            "capacities and the second-level fleet"
         )
     if best is None:
         raise ConstructionError(

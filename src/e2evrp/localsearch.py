@@ -433,8 +433,6 @@ def _commit(
             if dv > 0 and cap is not None and demands[k] > cap:
                 return False
         new_first = build_first_level(inst, demands)
-        if new_first is None:
-            return False
         f1 = inst.fixed_cost_l1
         delta = (
             new_first[1] + f1 * len(new_first[0]) - sol.l1_distance - f1 * len(sol.first_level)

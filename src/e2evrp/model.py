@@ -663,12 +663,33 @@ def unservable_customers(inst: Instance) -> list[int]:
     return out
 
 
+def second_level_capacity(inst: Instance, satellites: Sequence[Satellite]) -> int:
+    """The most that second-level vehicles based at ``satellites`` can deliver.
+
+    A satellite sends out at most its capacity and at most ``m2_local``
+    loads of Q2; the whole fleet carries at most ``min(sum of m2_local,
+    m2_global)`` loads.  A run can serve every customer from these
+    satellites only if the result is at least the total demand.
+    """
+    q2 = inst.q2_capacity
+    held = sum(
+        s.m2_local * q2 if s.capacity is None else min(s.capacity, s.m2_local * q2)
+        for s in satellites
+    )
+    return min(held, min(sum(s.m2_local for s in satellites), inst.m2_global) * q2)
+
+
 def unservable_reason(inst: Instance) -> Optional[str]:
     """Why no solution can exist, read off the instance alone, or ``None``.
 
     Refuses an instance with customers when no satellite has a second-level
-    vehicle, or when :func:`unservable_customers` is non-empty.  Both
-    ``lns_run`` and ``bound_report`` call it before any search or pricing.
+    vehicle, when :func:`unservable_customers` is non-empty, when the total
+    demand exceeds what the first-level fleet carries (``m1`` loads of Q1,
+    split deliveries allowed), or when it exceeds
+    :func:`second_level_capacity` of all satellites.  Every demand vector a
+    run builds has that total, so past this check ``build_first_level``
+    always succeeds.  Both ``lns_run`` and ``bound_report`` call it before
+    any search or pricing.
     """
     if not inst.customers:
         return None
@@ -677,4 +698,13 @@ def unservable_reason(inst: Instance) -> Optional[str]:
     dead = unservable_customers(inst)
     if dead:
         return f"customer(s) {dead} cannot be reached within one battery charge from any charging location"
+    total = inst.total_demand
+    if total > inst.m1_fleet * inst.q1_capacity:
+        return (
+            f"the first-level fleet of {inst.m1_fleet} vehicle(s) of capacity "
+            f"{inst.q1_capacity} cannot carry the total demand of {total}"
+        )
+    room = second_level_capacity(inst, inst.satellites)
+    if room < total:
+        return f"the second-level fleet can carry at most {room} of the total demand of {total}"
     return None

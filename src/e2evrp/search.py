@@ -167,16 +167,42 @@ class WorkingSolution:
         return Solution(first, routes, evaluate_cost(inst, shell))
 
 
+def _cheapest_stop(
+    dist: dict[int, dict[int, int]], routes: list, loads: list[int], most: int, k: int
+) -> Optional[tuple[int, int, int]]:
+    """(added distance, truck, position) of the cheapest place for a stop at
+    satellite ``k`` in a truck loaded at most ``most``; ``None`` if no truck is."""
+    best: Optional[tuple[int, int, int]] = None
+    for ri, stops in enumerate(routes):
+        if loads[ri] > most:
+            continue
+        seq = [DEPOT_ID, *(s for s, _ in stops), DEPOT_ID]
+        for pos in range(len(stops) + 1):
+            delta = dist[seq[pos]][k] + dist[k][seq[pos + 1]] - dist[seq[pos]][seq[pos + 1]]
+            if best is None or delta < best[0]:
+                best = (delta, ri, pos)
+    return best
+
+
 def build_first_level(
     inst: Instance, demands: dict[int, int]
-) -> Optional[tuple[list[FirstLevelRoute], int]]:
+) -> tuple[list[FirstLevelRoute], int]:
     """Reconstruct the first level from scratch for given satellite demands.
 
     Satellites needing more than a truckload first get dedicated full
     round trips; the residual quantities are then placed by cheapest
-    insertion.  Returns ``None`` when the fleet limit cannot be met.
+    insertion, in satellite-id order.  Deliveries may be split: where every
+    truck is out and none has room for a residual, its cheapest truck with
+    room takes what fits and the rest is placed again.  A vector whose total
+    fits ``m1`` loads of Q1 therefore always gets at most ``m1`` trucks
+    (:func:`~e2evrp.model.unservable_reason` refuses instances where it
+    cannot); on a larger total this raises ``ValueError``.  Returns the
+    routes and their distance.
     """
     q1 = inst.q1_capacity
+    carried = sum(demands.values())
+    if carried > inst.m1_fleet * q1:
+        raise ValueError(f"demands of {carried} exceed {inst.m1_fleet} first-level load(s) of {q1}")
     routes: list[list[tuple[int, int]]] = []
     loads: list[int] = []
     residual: dict[int, int] = {}
@@ -193,30 +219,21 @@ def build_first_level(
     dist = inst.dist
     for k in sorted(residual):
         q = residual[k]
-        best: Optional[tuple[int, int, int]] = None  # (delta, route idx, pos)
-        for ri, stops in enumerate(routes):
-            if loads[ri] + q > q1:
-                continue
-            seq = [DEPOT_ID, *(s for s, _ in stops), DEPOT_ID]
-            for pos in range(len(stops) + 1):
-                delta = dist[seq[pos]][k] + dist[k][seq[pos + 1]] - dist[seq[pos]][seq[pos + 1]]
-                if best is None or delta < best[0]:
-                    best = (delta, ri, pos)
-        if len(routes) < inst.m1_fleet:
-            open_delta = 2 * dist[DEPOT_ID][k] + inst.fixed_cost_l1
-            if best is None or open_delta < best[0]:
-                best = (open_delta, -1, 0)
-        if best is None:
-            return None
-        _, ri, pos = best
-        if ri < 0:
-            routes.append([(k, q)])
-            loads.append(q)
-        else:
-            routes[ri].insert(pos, (k, q))
-            loads[ri] += q
-    if len(routes) > inst.m1_fleet:
-        return None
+        while q:
+            best = _cheapest_stop(dist, routes, loads, q1 - q, k)
+            if len(routes) < inst.m1_fleet:
+                open_delta = 2 * dist[DEPOT_ID][k] + inst.fixed_cost_l1
+                if best is None or open_delta < best[0]:
+                    best = (open_delta, -1, 0)
+                    routes.append([])
+                    loads.append(0)
+            if best is None:  # every truck is out and none has room for q: split it
+                best = _cheapest_stop(dist, routes, loads, q1 - 1, k)
+            _, ri, pos = best
+            part = min(q, q1 - loads[ri])
+            routes[ri].insert(pos, (k, part))
+            loads[ri] += part
+            q -= part
 
     total = 0
     for stops in routes:

@@ -1,4 +1,5 @@
-"""Pinned results on the benchmark's metro instances (instance seed 1).
+"""Pinned results on the benchmark's metro instances (instance seed 1), and
+on one instance whose first level needs a split delivery.
 
 A change that should keep the search path, the graphs and the ng tables
 must keep every pin.  The pytest tests take their parameters from here;
@@ -15,7 +16,7 @@ import hashlib
 import sys
 
 from e2evrp.lns import LnsParams, lns_run
-from e2evrp.model import write_solution
+from e2evrp.model import parse_instance, write_solution
 from e2evrp.multigraph import build_multigraph, reduce_by_dominance
 from e2evrp.ngpricing import NgSets, _bound_from_tables, price_ng_routes
 
@@ -30,6 +31,31 @@ SOLVES = [
     (50, 20, 4, 20, (15716, 20, 1, 0, 0), "e81513aa6fc9a18b3ed3f8354c209771591a4ee4"),
     (100, 20, 1, 1, (25637, 4, 1, 0, 3), "734f7a8068867ef318ce4e22ff7add52c9dc2e98"),
 ]
+
+# four satellites 1000 from the depot, each with one customer 10 beyond it;
+# the residual demands 4, 4, 6, 6 fit two trucks of 10 only when one of
+# them is split, which the cheapest-insertion packing alone never does
+FIRST_FIT = """\
+NAME first-fit
+LEVEL1 2 10 0
+LEVEL2 8 8 0 100
+DEPOT 0 0
+SATELLITES 4
+1 1000 0 - 2
+2 0 1000 - 2
+3 -1000 0 - 2
+4 0 -1000 - 2
+CUSTOMERS 4
+5 1010 0 4
+6 0 1010 4
+7 -1010 0 6
+8 0 -1010 6
+STATIONS 0
+"""
+
+# lns_run on FIRST_FIT: (restarts, i_max, seed, deterministic_fields(), sha1
+# of the write_solution text); a solution of cost 6908 exists
+FIRST_FIT_SOLVE = (5, 20, 1, (8322, 100, 5, 0, 0), "d6efbbc065411b606a7d7c7b2fccaeb9f7a151c7")
 
 # ng tables of the bound-m10 instance: (customers, stations, delta, sha1 of
 # the tables, label_count per satellite in id order, lower bound)
@@ -53,6 +79,13 @@ def solve(customers: int, stations: int, seed: int, i_max: int) -> tuple[tuple, 
     """``deterministic_fields()`` and the solution text's sha1 of one restart."""
     inst = metro_instance(customers, stations)
     sol, stats = lns_run(inst, LnsParams(t_max=None, max_restarts=1, i_max=i_max, seed=seed))
+    return stats.deterministic_fields(), hashlib.sha1(write_solution(sol).encode()).hexdigest()
+
+
+def first_fit(restarts: int, i_max: int, seed: int) -> tuple[tuple, str]:
+    """``deterministic_fields()`` and the solution text's sha1 on FIRST_FIT."""
+    params = LnsParams(t_max=None, max_restarts=restarts, i_max=i_max, seed=seed)
+    sol, stats = lns_run(parse_instance(FIRST_FIT), params)
     return stats.deterministic_fields(), hashlib.sha1(write_solution(sol).encode()).hexdigest()
 
 
@@ -81,6 +114,14 @@ def main() -> int:
         (f"solve {c}x{s} seed {seed} i_max {i_max}", solve(c, s, seed, i_max), (fields, digest))
         for c, s, seed, i_max, fields, digest in SOLVES
     ]
+    restarts, i_max, seed, fields, digest = FIRST_FIT_SOLVE
+    checks.append(
+        (
+            f"solve first-fit restarts {restarts} i_max {i_max} seed {seed}",
+            first_fit(restarts, i_max, seed),
+            (fields, digest),
+        )
+    )
     c, s, delta, digest, labels, bound = PRICING
     checks.append(
         (f"pricing {c}x{s} delta {delta}", pricing(c, s, delta), (digest, labels, bound))

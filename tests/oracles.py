@@ -23,7 +23,9 @@ from typing import Optional, Sequence
 from e2evrp.bench import MetroGenConfig, generate_metro_instance
 from e2evrp.charging import InsertionResult
 from e2evrp.model import (
+    DEPOT_ID,
     Customer,
+    FirstLevelRoute,
     Instance,
     Satellite,
     SecondLevelRoute,
@@ -698,6 +700,56 @@ def expand_arc_route(inst: Instance, legs: Sequence[tuple[int, int, Arc]]) -> Se
             load += inst.demand.get(head, 0)
         prev_head = head
     return SecondLevelRoute(sat, tuple(visits), load)
+
+
+# ---------------------------------------------------------------------------
+# First-level reference
+# ---------------------------------------------------------------------------
+
+
+def first_level_greedy_reference(
+    inst: Instance, demands: dict[int, int]
+) -> Optional[tuple[list[FirstLevelRoute], int]]:
+    """The first level of full round trips plus the cheapest-insertion
+    packing of the residuals, without splitting any residual: ``None`` when
+    that packing needs more than ``m1`` trucks.  Where it returns a first
+    level, ``build_first_level`` must return the same one."""
+    q1, dist = inst.q1_capacity, inst.dist
+    routes: list[list[tuple[int, int]]] = []
+    residual: dict[int, int] = {}
+    for k in sorted(demands):
+        d = demands[k]
+        while d > q1:
+            routes.append([(k, q1)])
+            d -= q1
+        if d > 0:
+            residual[k] = d
+    for k, q in sorted(residual.items()):
+        options = [
+            (dist[a][k] + dist[k][b] - dist[a][b], ri, pos)
+            for ri, stops in enumerate(routes)
+            if sum(x for _, x in stops) + q <= q1
+            for pos, (a, b) in enumerate(
+                zip([DEPOT_ID, *(s for s, _ in stops)], [*(s for s, _ in stops), DEPOT_ID])
+            )
+        ]
+        if len(routes) < inst.m1_fleet:
+            # an insertion wins ties with opening a truck
+            options.append((2 * dist[DEPOT_ID][k] + inst.fixed_cost_l1, len(routes), 0))
+        if not options:
+            return None
+        _, ri, pos = min(options)
+        if ri == len(routes):
+            routes.append([])
+        routes[ri].insert(pos, (k, q))
+    if len(routes) > inst.m1_fleet:
+        return None
+    total = sum(
+        dist[a][b]
+        for stops in routes
+        for a, b in zip([DEPOT_ID, *(s for s, _ in stops)], [*(s for s, _ in stops), DEPOT_ID])
+    )
+    return [FirstLevelRoute(tuple(stops)) for stops in routes], total
 
 
 # ---------------------------------------------------------------------------

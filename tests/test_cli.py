@@ -10,6 +10,7 @@ from e2evrp.model import parse_instance, parse_solution, unservable_customers, w
 from e2evrp.multigraph import build_multigraph, reduce_by_dominance
 from e2evrp.ngpricing import NgSets, bound_report
 
+import golden
 from oracles import metro_instance
 
 TINY = """\
@@ -424,6 +425,54 @@ def test_bound_refuses_what_solve_refuses(tmp_path, monkeypatch, name, as_json):
     assert message in _one_line_error(res, as_json)
     res = CliRunner().invoke(main, ["solve", str(path), "--time-limit", "2", *flags])
     assert message in _one_line_error(res, as_json, code=3)
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_solve_splits_a_first_level_delivery(tmp_path, as_json):
+    """Two trucks of 10 carry FIRST_FIT's 4, 4, 6, 6 only with a split."""
+    path, out = tmp_path / "first-fit.txt", tmp_path / "first-fit.sol"
+    path.write_text(golden.FIRST_FIT)
+    flags = ["--json"] * as_json
+    res = CliRunner().invoke(
+        main, ["solve", str(path), "--restarts", "5", "--solution-out", str(out), *flags]
+    )
+    assert res.exit_code == 0, res.output
+    res = CliRunner().invoke(main, ["check", str(path), str(out), *flags])
+    assert res.exit_code == 0, res.output
+
+
+# FIRST_FIT's 20 units with one truck of 10, or with two vehicles of 8
+FLEET_REFUSED = {
+    "one-truck": (
+        golden.FIRST_FIT.replace("LEVEL1 2 10 0", "LEVEL1 1 10 0"),
+        "the first-level fleet of 1 vehicle(s) of capacity 10 cannot carry the total demand of 20",
+    ),
+    "two-vehicles": (
+        golden.FIRST_FIT.replace("LEVEL2 8 8 0 100", "LEVEL2 2 8 0 100"),
+        "the second-level fleet can carry at most 16 of the total demand of 20",
+    ),
+}
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("name", list(FLEET_REFUSED))
+def test_fleet_that_cannot_carry_the_demand_is_refused(tmp_path, monkeypatch, name, as_json):
+    def repair(*args):
+        pytest.fail("lns_run started a restart on an instance no fleet can carry")
+
+    def price(*args, **kwargs):
+        pytest.fail("bound priced an instance no fleet can carry")
+
+    monkeypatch.setattr(lns, "repair", repair)
+    monkeypatch.setattr(ngpricing, "price_ng_routes", price)
+    text, message = FLEET_REFUSED[name]
+    path = tmp_path / f"{name}.txt"
+    path.write_text(text)
+    flags = ["--json"] * as_json
+    res = CliRunner().invoke(main, ["solve", str(path), *flags])
+    assert message in _one_line_error(res, as_json, code=3)
+    res = CliRunner().invoke(main, ["bound", str(path), *flags])
+    assert message in _one_line_error(res, as_json)
 
 
 def test_bound_prices_only_satellites_with_a_vehicle():

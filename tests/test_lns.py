@@ -17,7 +17,7 @@ from e2evrp.model import check_feasibility
 from e2evrp.search import SolverContext, WorkingRoute, WorkingSolution, build_first_level
 
 import golden
-from oracles import make_instance, random_instance
+from oracles import first_level_greedy_reference, make_instance, random_instance
 
 
 def _ctx(inst, gamma=25):
@@ -266,7 +266,59 @@ def test_first_level_fleet_limit():
         m1=1,
         battery=None,
     )
-    assert build_first_level(inst, {1: 500}) is None  # needs 5 trips, fleet has 1
+    with pytest.raises(ValueError, match="exceed 1 first-level load"):
+        build_first_level(inst, {1: 500})  # needs 5 trips, fleet has 1
+
+
+def _random_vector(rng, satellites, total):
+    """``total`` spread over ``satellites`` at random cut points (zeros allowed)."""
+    cuts = sorted(rng.randint(0, total) for _ in satellites[1:])
+    return {k: b - a for k, a, b in zip(satellites, [0, *cuts], [*cuts, total])}
+
+
+def test_first_level_carries_every_vector_that_fits_the_fleet():
+    """With split deliveries a demand vector has a first level with at most
+    m1 trucks iff its total fits m1 loads of Q1; where the cheapest-insertion
+    packing alone finds one, that packing is kept."""
+    rng = random.Random(26)
+    split = kept = 0
+    for _ in range(400):
+        q1, m1, n_s = rng.randint(2, 30), rng.randint(1, 5), rng.randint(1, 6)
+        inst = make_instance(
+            satellites=tuple(
+                (k, (rng.randint(-300, 300), rng.randint(-300, 300)), None, 1)
+                for k in range(1, n_s + 1)
+            ),
+            q1=q1,
+            q2=1,
+            m1=m1,
+            f1=rng.choice((0, 50)),
+        )
+        fleet = m1 * q1
+        total = rng.choice((fleet, fleet - rng.randint(0, q1), rng.randint(0, fleet)))
+        demands = _random_vector(rng, inst.satellite_ids, total)
+        routes, distance = build_first_level(inst, demands)
+        assert len(routes) <= m1
+        delivered = dict.fromkeys(inst.satellite_ids, 0)
+        for r in routes:
+            assert all(q > 0 for _, q in r.stops)
+            assert sum(q for _, q in r.stops) <= q1
+            assert len({s for s, _ in r.stops}) == len(r.stops)
+            for s, q in r.stops:
+                delivered[s] += q
+        assert delivered == demands
+        tours = [[0, *(s for s, _ in r.stops), 0] for r in routes]
+        assert distance == sum(inst.dist[a][b] for t in tours for a, b in zip(t, t[1:]))
+        greedy = first_level_greedy_reference(inst, demands)
+        if greedy is None:
+            split += 1
+        else:
+            kept += 1
+            assert (routes, distance) == greedy
+        over = _random_vector(rng, inst.satellite_ids, fleet + rng.randint(1, q1))
+        with pytest.raises(ValueError):
+            build_first_level(inst, over)
+    assert split >= 20 and kept >= 100  # both paths ran
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +372,9 @@ def test_construction_error_when_fleet_impossible():
         m2=1,  # one vehicle, two routes needed
         battery=None,
     )
-    with pytest.raises(ConstructionError, match="construction failed.*second-level insertion"):
+    with pytest.raises(
+        ConstructionError, match="before any restart: the second-level fleet can carry at most 50 "
+    ):
         lns_run(inst, LnsParams(t_max=None, max_restarts=2, i_max=5))
     # three second-level routes fit, but their 120 units need two trucks
     inst = make_instance(
@@ -331,7 +385,21 @@ def test_construction_error_when_fleet_impossible():
         m1=1,
         battery=None,
     )
-    with pytest.raises(ConstructionError, match="construction failed.*first-level fleet of 1"):
+    with pytest.raises(ConstructionError, match="before any restart: the first-level fleet of 1 "):
+        lns_run(inst, LnsParams(t_max=None, max_restarts=2, i_max=5))
+    # 90 units pass both fleet checks (two vehicles carry 100), but no two
+    # customers of 30 share a vehicle of 50: the packing needs three routes
+    inst = make_instance(
+        satellites=((1, (0, 0), None, 3),),
+        customers=((2, (10, 0), 30), (3, (20, 0), 30), (4, (30, 0), 30)),
+        q2=50,
+        q1=100,
+        m2=2,
+        battery=None,
+    )
+    with pytest.raises(
+        ConstructionError, match=r"failed in all 2 restart\(s\): second-level insertion"
+    ):
         lns_run(inst, LnsParams(t_max=None, max_restarts=2, i_max=5))
 
 
@@ -359,6 +427,12 @@ def test_time_budget_respected():
     t0 = time.monotonic()
     lns_run(inst, LnsParams(t_max=1.0, seed=1))
     assert time.monotonic() - t0 < 8.0  # budget plus construction slack
+
+
+def test_golden_first_fit_solve():
+    """The split first level is pinned: FIRST_FIT is solved only through it."""
+    restarts, i_max, seed, fields, digest = golden.FIRST_FIT_SOLVE
+    assert golden.first_fit(restarts, i_max, seed) == (fields, digest)
 
 
 @pytest.mark.parametrize("customers, stations, seed, i_max, fields, digest", golden.SOLVES)

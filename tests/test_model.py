@@ -17,6 +17,8 @@ from e2evrp.model import (
     parse_instance,
     parse_solution,
     rounded_distance,
+    second_level_capacity,
+    unservable_reason,
     write_instance,
     write_solution,
 )
@@ -484,3 +486,20 @@ def test_solution_parse_rejects_malformed():
         with pytest.raises(SolutionFormatError) as err:
             parse_solution(text)
         assert str(err.value) == message
+
+
+def test_fleet_checks_bound_what_the_fleets_carry():
+    # satellite 1 holds 30 of its two loads of 25, satellite 2 three loads
+    sats = ((1, (0, 0), 30, 2), (2, (50, 0), None, 3))
+    custs = ((3, (10, 0), 20), (4, (40, 0), 20))
+    inst = make_instance(satellites=sats, customers=custs, q1=60, q2=25, m1=1, m2=4)
+    one, two = inst.satellites
+    assert second_level_capacity(inst, [one]) == 30
+    assert second_level_capacity(inst, [two]) == 75
+    assert second_level_capacity(inst, [one, two]) == 100  # four vehicles in all
+    assert second_level_capacity(inst, []) == 0
+    assert unservable_reason(inst) is None  # 40 units: one truck, two vehicles
+    thin = make_instance(satellites=sats, customers=custs, q1=60, q2=25, m2=1)
+    assert "can carry at most 25 of the total demand of 40" in unservable_reason(thin)
+    short = make_instance(satellites=sats, customers=custs, q1=30, q2=25, m1=1)
+    assert "first-level fleet of 1 vehicle(s) of capacity 30" in unservable_reason(short)
