@@ -137,9 +137,7 @@ def destroy_routes(
     r = rng.randint(0, hi)
     if r <= 0 or not sol.routes:
         return
-    for idx in sorted(rng.sample(range(len(sol.routes)), min(r, len(sol.routes))), reverse=True):
-        pending.extend(sol.routes[idx].customers)
-        del sol.routes[idx]
+    _drop_routes(sol, pending, rng.sample(range(len(sol.routes)), min(r, len(sol.routes))))
 
 
 def close_satellite(
@@ -159,10 +157,7 @@ def close_satellite(
     if second_level_capacity(inst, rest) < inst.total_demand:
         return
     closed.add(k)
-    for idx in range(len(sol.routes) - 1, -1, -1):
-        if sol.routes[idx].satellite == k:
-            pending.extend(sol.routes[idx].customers)
-            del sol.routes[idx]
+    _drop_routes(sol, pending, [i for i, route in enumerate(sol.routes) if route.satellite == k])
 
 
 def open_all_satellites(closed: set[int], rng: random.Random, p3_hat: int) -> None:
@@ -175,10 +170,14 @@ def remove_singleton_routes(
 ) -> None:
     if rng.randrange(100) >= p4_hat:
         return
-    for idx in range(len(sol.routes) - 1, -1, -1):
-        if len(sol.routes[idx].customers) == 1:
-            pending.extend(sol.routes[idx].customers)
-            del sol.routes[idx]
+    _drop_routes(sol, pending, [i for i, route in enumerate(sol.routes) if len(route.customers) == 1])
+
+
+def _drop_routes(sol: WorkingSolution, pending: list[int], indices: list[int]) -> None:
+    """Move the routes at ``indices`` to ``pending``, highest index first."""
+    for idx in sorted(indices, reverse=True):
+        pending.extend(sol.routes[idx].customers)
+        del sol.routes[idx]
 
 
 def _remove_customers(

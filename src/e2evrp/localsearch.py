@@ -5,7 +5,9 @@ random order over granular customer pairs.  Each route is mirrored as a unit
 list ``[(satellite, anchor stop), (c1, stop), ..., (satellite, None)]`` in
 which every charging stop stays glued to the customer (or satellite) it
 follows, with prefix sums of this frozen-station distance walked forward and
-backward and of the demand.
+backward and of the demand.  These arrays are a function of the route's plan
+object (below), so they are built once per plan and travel with the route,
+into its clones too, as its view.
 
 A candidate move describes each route it touches as a concatenation of up to
 five segments ``(route, first unit, last unit, reversed)`` of the current
@@ -38,10 +40,11 @@ a call and across the calls of one run, so failures are memoized exactly.
 last failed evaluation of the pair.  The tag is the content of the route
 holding i when j sits in the same route; otherwise it is the contents of
 both routes and, when the two routes sit at different satellites, the
-satellite-demand map with the first-level cost.  A handler's result depends
-on nothing else (plans are the memoized charging plans of the contents; the
-memo entries that relocate reads only spare it evaluations that would fail,
-see below) and it draws no random numbers, so skipping a pair whose tag is
+satellite-demand map (every first level a working solution holds is
+``build_first_level`` of that map).  A handler's result depends on nothing
+else (plans are the memoized charging plans of the contents; the memo
+entries that relocate reads only spare it evaluations that would fail, see
+below) and it draws no random numbers, so skipping a pair whose tag is
 unchanged leaves the search path, the random stream and the result exactly
 as without the memo.
 
@@ -85,7 +88,8 @@ import time
 from typing import Optional
 
 from .charging import insertion_lower_bound
-from .search import SolverContext, WorkingSolution, build_first_level
+from .model import Instance
+from .search import SolverContext, WorkingRoute, WorkingSolution, build_first_level
 
 # approximate-filter slack: moves may deteriorate the frozen-station distance
 # of the touched routes by at most 3% before the exact re-evaluation
@@ -98,8 +102,30 @@ Seg = tuple[int, int, int, bool]  # (route, first unit, last unit, reversed)
 _NEIGHBORHOODS = ("two_opt", "two_opt_star", "relocate", "swap", "swap21")
 
 
+def _route_view(inst: Instance, route: WorkingRoute) -> tuple:
+    """``(plan, units, fwd, bwd, pref)`` of a route that holds its plan: the
+    arrays of ``_LsState`` for this one route."""
+    D = inst.dist
+    demand = inst.demand
+    sat = route.satellite
+    by_leg = dict(route.plan.stations)
+    # the stop on leg l trails unit l-1 (unit 0 is the satellite)
+    units = [(sat, by_leg.get(1))]
+    pref = [0]
+    for k, c in enumerate(route.customers, 1):
+        units.append((c, by_leg.get(k + 1)))
+        pref.append(pref[-1] + demand[c])
+    units.append((sat, None))
+    fwd, bwd = [0], [0]
+    for (pv, ps), (v, s) in zip(units, units[1:]):
+        fwd.append(fwd[-1] + (D[pv][v] if ps is None else D[pv][ps] + D[ps][v]))
+        bwd.append(bwd[-1] + (D[v][pv] if s is None else D[v][s] + D[s][pv]))
+    return route.plan, units, fwd, bwd, pref
+
+
 class _LsState:
-    """Unit-list mirror of a working solution, rebuilt after each applied move.
+    """Unit-list mirror of a working solution, gathered from its routes' views
+    at the start of each call and after each applied move.
 
     Per route ``ri``: ``units[ri]`` as in the module docstring; ``fwd[ri][k]``
     is the frozen-station distance from unit 0 to unit k, ``bwd[ri][k]`` the
@@ -110,6 +136,8 @@ class _LsState:
     (module docstring) of a pair with i in route ri and j in route rj.
     Every route must hold its current plan: ``local_search`` completes the
     plans first, and ``_commit`` gives each route it changes its new plan.
+    A route's view (``_route_view``) is built again only when its plan
+    object changes.
     """
 
     __slots__ = (
@@ -121,39 +149,20 @@ class _LsState:
         self.refresh(ctx)
 
     def refresh(self, ctx: SolverContext) -> None:
-        D = self.dist = ctx.inst.dist
-        demand = ctx.inst.demand
-        self.units: list[list[Unit]] = []
-        self.fwd: list[list[int]] = []
-        self.bwd: list[list[int]] = []
-        self.pref: list[list[int]] = []
-        self.last: list[int] = []
-        self.loc: dict[int, tuple[int, int]] = {}
-        self.dem: dict[int, int] = self.sol.sat_demand()
-        for ri, route in enumerate(self.sol.routes):
-            sat = route.satellite
-            by_leg = dict(route.plan.stations)
-            # the stop on leg l trails unit l-1 (unit 0 is the satellite)
-            units = [(sat, by_leg.get(1))]
-            pref = [0]
-            for k, c in enumerate(route.customers, 1):
-                units.append((c, by_leg.get(k + 1)))
-                pref.append(pref[-1] + demand[c])
-                self.loc[c] = (ri, k)
-            units.append((sat, None))
-            fwd, bwd = [0], [0]
-            for (pv, ps), (v, s) in zip(units, units[1:]):
-                fwd.append(fwd[-1] + (D[pv][v] if ps is None else D[pv][ps] + D[ps][v]))
-                bwd.append(bwd[-1] + (D[v][pv] if s is None else D[v][s] + D[s][pv]))
-            self.units.append(units)
-            self.fwd.append(fwd)
-            self.bwd.append(bwd)
-            self.pref.append(pref)
-            self.last.append(len(units) - 1)
+        inst = ctx.inst
+        self.dist = inst.dist
         sol = self.sol
+        loc: dict[int, tuple[int, int]] = {}
+        for ri, route in enumerate(sol.routes):
+            if route.view is None or route.view[0] is not route.plan:
+                route.view = _route_view(inst, route)
+            loc.update((c, (ri, k)) for k, c in enumerate(route.customers, 1))
+        self.loc = loc
+        plans, self.units, self.fwd, self.bwd, self.pref = zip(*(r.view for r in sol.routes))
+        self.last = [len(units) - 1 for units in self.units]
+        self.dem: dict[int, int] = sol.sat_demand()
         sats = self.sats = [route.satellite for route in sol.routes]
-        plans = [route.plan for route in sol.routes]
-        demand_key = (tuple(sorted(self.dem.items())), sol.l1_distance, len(sol.first_level))
+        demand_key = tuple(sorted(self.dem.items()))
         self.tags: list[list] = [
             [
                 pa if a == b

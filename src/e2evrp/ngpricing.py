@@ -320,15 +320,13 @@ def bound_report(
     """JSON-friendly summary: per-satellite pricing digests plus the global bound.
 
     Only satellites with a second-level vehicle are priced and reported.
-    Raises ``ValueError`` before any pricing when the instance has customers
-    but no satellite, or when :func:`~e2evrp.model.unservable_reason`
-    refuses it as ``lns_run`` does (no satellite vehicle, a customer out of
-    battery range, or a total demand that the first- or second-level fleet
-    cannot carry); and after pricing when no satellite has a closed route
-    within the battery.
+    Raises ``ValueError`` before any pricing when
+    :func:`~e2evrp.model.unservable_reason` refuses the instance as
+    ``lns_run`` does, with the same words (no satellite vehicle, which
+    includes no satellite at all, a customer out of battery range, or a
+    total demand that the first- or second-level fleet cannot carry); and
+    after pricing when no satellite has a closed route within the battery.
     """
-    if inst.customers and not inst.satellites:
-        raise ValueError("instance has customers but no satellite to serve them")
     reason = unservable_reason(inst)
     if reason:
         raise ValueError(reason)

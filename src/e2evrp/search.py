@@ -89,9 +89,14 @@ class SolverContext:
 
 class WorkingRoute:
     """One second-level route under construction: customer order plus the
-    cached charging plan for exactly that order (``plan is None`` = stale)."""
+    cached charging plan for exactly that order (``plan is None`` = stale).
 
-    __slots__ = ("satellite", "customers", "load", "plan")
+    ``view`` is local search's arrays of the route, built from ``plan`` and
+    current while ``view[0] is plan`` (``localsearch._route_view``); clones
+    share it.
+    """
+
+    __slots__ = ("satellite", "customers", "load", "plan", "view")
 
     def __init__(
         self,
@@ -104,9 +109,12 @@ class WorkingRoute:
         self.customers = customers
         self.load = load
         self.plan = plan
+        self.view: Optional[tuple] = None
 
     def clone(self) -> "WorkingRoute":
-        return WorkingRoute(self.satellite, self.customers[:], self.load, self.plan)
+        copy = WorkingRoute(self.satellite, self.customers[:], self.load, self.plan)
+        copy.view = self.view
+        return copy
 
 
 class WorkingSolution:

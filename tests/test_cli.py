@@ -334,7 +334,7 @@ def test_bound_without_satellites_is_a_clean_error(tmp_path, as_json):
     path = tmp_path / "nosat.txt"
     path.write_text(NO_SATELLITE)
     res = CliRunner().invoke(main, ["bound", str(path), *(["--json"] * as_json)])
-    assert "customers but no satellite" in _one_line_error(res, as_json)
+    assert "no satellite has a second-level vehicle" in _one_line_error(res, as_json)
     # with no customer either there is nothing to serve: the bound is 0
     path.write_text(NO_SATELLITE.replace("CUSTOMERS 1\n1 10 10 5\n", "CUSTOMERS 0\n"))
     res = CliRunner().invoke(main, ["bound", str(path), "--json"])

@@ -431,14 +431,22 @@ def test_time_budget_respected():
 
 def test_golden_first_fit_solve():
     """The split first level is pinned: FIRST_FIT is solved only through it."""
-    restarts, i_max, seed, fields, digest = golden.FIRST_FIT_SOLVE
-    assert golden.first_fit(restarts, i_max, seed) == (fields, digest)
+    restarts, i_max, seed, fields, digest, work = golden.FIRST_FIT_SOLVE
+    assert golden.first_fit(restarts, i_max, seed) == (fields, digest, work)
 
 
-@pytest.mark.parametrize("customers, stations, seed, i_max, fields, digest", golden.SOLVES)
-def test_golden_metro_solves(customers, stations, seed, i_max, fields, digest):
-    """The benchmark's metro solves (instance seed 1, one restart) are pinned:
-    a change to the search that should keep its path must keep these."""
-    got_fields, got_digest = golden.solve(customers, stations, seed, i_max)
+# The ids name a solve by its instance, seeds and solution digest alone, so
+# that pinning more of a run (the work column) keeps the names of the tests.
+@pytest.mark.parametrize(
+    "customers, stations, seed, i_max, fields, digest, work",
+    golden.SOLVES,
+    ids=[f"{c}-{s}-{seed}-{i}-fields{n}-{d}" for n, (c, s, seed, i, _, d, _) in enumerate(golden.SOLVES)],
+)
+def test_golden_metro_solves(customers, stations, seed, i_max, fields, digest, work):
+    """The benchmark's metro solves (instance seed 1, one restart) are pinned,
+    with the handler calls and charging-DP runs of local search on the way: a
+    change to the search that should keep its path must keep these."""
+    got_fields, got_digest, got_work = golden.solve(customers, stations, seed, i_max)
     assert got_fields == fields
     assert got_digest == digest
+    assert got_work == work

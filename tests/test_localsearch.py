@@ -484,6 +484,59 @@ def test_no_candidate_is_proposed_twice_between_refreshes(monkeypatch):
     assert min(checked.values()) >= 1000, checked
 
 
+def test_route_views_follow_their_plans(monkeypatch):
+    """After every refresh of the scan state each route's view equals a fresh
+    ``_route_view`` of the route, and a route whose plan object is unchanged
+    keeps its view object: across an applied move, and across
+    ``WorkingSolution.clone`` into the next call."""
+    real_refresh, real_clone = ls._LsState.refresh, WorkingSolution.clone
+    kept = {"across_move": 0, "across_clone": 0}
+
+    def refresh(self, ctx):
+        first = not hasattr(self, "tags")  # the refresh of a new call
+        before = [(route, route.view) for route in self.sol.routes]
+        real_refresh(self, ctx)
+        for route, view in before:
+            assert route.view == ls._route_view(ctx.inst, route)
+            if view is not None and view[0] is route.plan:
+                assert route.view is view
+                kept["across_clone" if first else "across_move"] += 1
+
+    def clone(self):
+        copy = real_clone(self)
+        assert all(a.view is b.view for a, b in zip(copy.routes, self.routes))
+        return copy
+
+    monkeypatch.setattr(ls._LsState, "refresh", refresh)
+    monkeypatch.setattr(WorkingSolution, "clone", clone)
+    rng = random.Random(2718)
+    covered = {"capped": 0, "tight": 0, "unconstrained": 0}
+    draws = 0
+    while draws < 12:
+        n_s = rng.randint(1, 3)
+        inst = random_instance(
+            rng, n_c=rng.randint(10, 24), n_s=n_s, n_r=3, span=200,
+            battery=rng.choice([None, 200, 250, 400]), q2=60, m2_local=8, m2=24, q1=100, f1=30,
+        )
+        if unservable_customers(inst):
+            continue
+        draws += 1
+        if n_s > 1:
+            cap = ceil(inst.total_demand * 1.1 / n_s)
+            inst = replace(
+                inst, satellites=tuple(replace(s, capacity=cap) for s in inst.satellites)
+            )
+            covered["capped"] += 1
+        covered["unconstrained"] += inst.battery_capacity is None
+        sol, _ = lns_run(inst, LnsParams(t_max=None, max_restarts=1, i_max=10, seed=draws))
+        customers = set(inst.customer_ids)
+        covered["tight"] += any(
+            v not in customers for r in sol.second_level_routes for v in r.visits
+        )
+    assert min(covered.values()) >= 4, covered
+    assert min(kept.values()) >= 500, kept
+
+
 def _repaired(seed):
     rng = random.Random(seed)
     inst = random_instance(
