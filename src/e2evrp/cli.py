@@ -117,6 +117,8 @@ def solve(instance_path, time_limit, restarts, seed, runs, params_kv, json_out, 
         key, value = kv.split("=", 1)
         if key not in ("p1", "p2", "p3_hat", "p4_hat", "granularity", "i_max"):
             _fail(f"unknown parameter {key!r}", as_json)
+        if key in overrides:
+            _fail(f"--param {key} given more than once", as_json)
         try:
             overrides[key] = int(value)
         except ValueError:
@@ -166,7 +168,7 @@ def solve(instance_path, time_limit, restarts, seed, runs, params_kv, json_out, 
     if json_out:
         Path(json_out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     if csv_out:
-        new = not os.path.exists(csv_out)
+        new = not os.path.exists(csv_out) or os.path.getsize(csv_out) == 0
         with open(csv_out, "a", encoding="utf-8") as fh:
             if new:
                 fh.write(SOLVE_CSV_HEADER + "\n")

@@ -11,13 +11,17 @@ into its clones too, as its view.
 
 A candidate move describes each route it touches as a concatenation of up to
 five segments ``(route, first unit, last unit, reversed)`` of the current
-routes.  One evaluator prices a concatenation in O(segments) from the prefix
-sums.  A candidate runs through four tests, cheapest first, and is applied
-only when it passes all of them:
+routes.  Its handler prices it in O(1) before any list exists: a route's new
+frozen-station distance is its old one plus the few legs the move creates,
+each leg out of a unit taken through the unit's glued stop, minus the legs
+it breaks, read as differences of the prefix sums (the backward ones for a
+reversed run).  A candidate runs through four tests, cheapest first, and is
+applied only when it passes all of them; only one that passes the filter
+builds its segment lists, which are then spliced into the new routes:
 
 1. load: every new route fits the vehicle;
-2. filter: the frozen-station distance of the touched routes may not grow by
-   more than the filter percentage;
+2. filter: the frozen-station distance of the touched routes, as the handler
+   prices it, may not grow by more than the filter percentage;
 3. lower bound: demand moved across satellites must fit the receiving
    satellite, and the first level is then rebuilt from scratch; the move
    must improve the full objective, fixed costs and first level included,
@@ -247,45 +251,29 @@ def local_search(
 
 
 # ---------------------------------------------------------------------------
-# segment evaluation: every neighborhood hands ``_propose`` one segment list
-# per touched route; the handlers assume the structural preconditions that
-# ``local_search`` tests
+# candidate moves: each handler prices its candidate's new frozen-station
+# distance from the few legs it changes, applies the filter, and builds the
+# segment lists only for a candidate that passes; the handlers assume the
+# structural preconditions that ``local_search`` tests
 # ---------------------------------------------------------------------------
 
 
-def _cost(st: _LsState, segs: list[Seg]) -> int:
-    """Frozen-station distance of the concatenation of ``segs``."""
-    D, units, fwd, bwd = st.dist, st.units, st.fwd, st.bwd
-    total = 0
-    prev: Optional[Unit] = None
-    for ri, a, b, rev in segs:
-        if rev:
-            total += bwd[ri][b] - bwd[ri][a]
-            enter, leave = units[ri][b], units[ri][a]
-        else:
-            total += fwd[ri][b] - fwd[ri][a]
-            enter, leave = units[ri][a], units[ri][b]
-        if prev is not None:
-            v, s = prev
-            w = enter[0]
-            total += D[v][w] if s is None else D[v][s] + D[s][w]
-        prev = leave
-    return total
+def _leg(D: dict, unit: Unit, w: int) -> int:
+    """Distance from ``unit`` (its vertex, then its glued stop if any) to vertex w."""
+    v, s = unit
+    return D[v][w] if s is None else D[v][s] + D[s][w]
 
 
-def _propose(
-    ctx: SolverContext, st: _LsState, cands: list[tuple[int, list[Seg], int]]
+def _splice(
+    ctx: SolverContext, st: _LsState, cands: list[tuple[int, list[Seg], int, int]]
 ) -> bool:
-    """Distance filter over ``(route, segments, new load)`` candidates; the
-    spliced routes of a move that passes it go on to ``_commit``."""
-    old = new = 0
-    for ri, segs, _load in cands:
-        old += st.fwd[ri][-1]
-        new += _cost(st, segs)
-    if new * FILTER_DEN > FILTER_NUM * old:
-        return False
+    """Splice each ``(route, segments, new load, new distance)`` of a candidate
+    that passed the filter and hand the routes to ``_commit``.  The new
+    frozen-station distance that the handler priced travels with the segments,
+    so that the two can be checked against each other; splicing reads only
+    the segments."""
     moves = []
-    for ri, segs, load in cands:
+    for ri, segs, load, _dist in cands:
         seq: list[Unit] = []
         for rs, a, b, rev in segs:
             part = st.units[rs][a : b + 1]
@@ -298,8 +286,17 @@ def _try_two_opt(ctx: SolverContext, st: _LsState, i: int, j: int) -> bool:
     ri, pi = st.loc[i]
     _, pj = st.loc[j]
     lo, hi = (pi, pj) if pi < pj else (pj, pi)
+    D, units, fwd, bwd = st.dist, st.units[ri], st.fwd[ri], st.bwd[ri]
+    old = fwd[-1]
+    # units lo..hi are walked backwards, each still followed by its stop
+    new = (
+        old + _leg(D, units[lo - 1], units[hi][0]) + bwd[hi] - bwd[lo]
+        + _leg(D, units[lo], units[hi + 1][0]) - fwd[hi + 1] + fwd[lo - 1]
+    )
+    if new * FILTER_DEN > FILTER_NUM * old:
+        return False
     segs = [(ri, 0, lo - 1, False), (ri, lo, hi, True), (ri, hi + 1, st.last[ri], False)]
-    return _propose(ctx, st, [(ri, segs, st.sol.routes[ri].load)])
+    return _splice(ctx, st, [(ri, segs, st.sol.routes[ri].load, new)])
 
 
 def _try_two_opt_star(ctx: SolverContext, st: _LsState, i: int, j: int) -> bool:
@@ -313,9 +310,14 @@ def _try_two_opt_star(ctx: SolverContext, st: _LsState, i: int, j: int) -> bool:
     q2 = ctx.inst.q2_capacity
     if l1 > q2 or l2 > q2:
         return False
-    return _propose(ctx, st, [
-        (ri, [(ri, 0, pi, False), (rj, pj + 1, st.last[rj], False)], l1),
-        (rj, [(rj, 0, pj, False), (ri, pi + 1, st.last[ri], False)], l2),
+    D, ui, uj, fi, fj = st.dist, st.units[ri], st.units[rj], st.fwd[ri], st.fwd[rj]
+    new1 = fi[pi] + _leg(D, ui[pi], uj[pj + 1][0]) + fj[-1] - fj[pj + 1]
+    new2 = fj[pj] + _leg(D, uj[pj], ui[pi + 1][0]) + fi[-1] - fi[pi + 1]
+    if (new1 + new2) * FILTER_DEN > FILTER_NUM * (fi[-1] + fj[-1]):
+        return False
+    return _splice(ctx, st, [
+        (ri, [(ri, 0, pi, False), (rj, pj + 1, st.last[rj], False)], l1, new1),
+        (rj, [(rj, 0, pj, False), (ri, pi + 1, st.last[ri], False)], l2, new2),
     ])
 
 
@@ -338,23 +340,40 @@ def _try_relocate(ctx: SolverContext, st: _LsState, i: int, j: int) -> bool:
     edges = (pj - 1,) if done.get(units[pj - 1][0]) != tag else ()
     if done.get(units[pj + 1][0]) != tag:
         edges += (pj,)
+    D, ui, fi, fj = st.dist, st.units[ri], st.fwd[ri], st.fwd[rj]
+    unit = ui[pi]
+    # taking i out joins its two neighbours; the same for either edge
+    removal = _leg(D, ui[pi - 1], ui[pi + 1][0]) - fi[pi + 1] + fi[pi - 1]
     if ri == rj:
         load = routes[ri].load
         end = st.last[ri]
+        old = fi[-1]
         for g in edges:
             if g == pi - 1 or g == pi:
                 continue  # i already sits there
+            # the edge g, g + 1 shares no leg with i's two legs
+            new = (
+                old + removal + _leg(D, units[g], i) + _leg(D, unit, units[g + 1][0])
+                - fi[g + 1] + fi[g]
+            )
+            if new * FILTER_DEN > FILTER_NUM * old:
+                continue
             if g < pi:
                 segs = [(ri, 0, g, False), moved, (ri, g + 1, pi - 1, False), (ri, pi + 1, end, False)]
             else:
                 segs = [(ri, 0, pi - 1, False), (ri, pi + 1, g, False), moved, (ri, g + 1, end, False)]
-            if _propose(ctx, st, [(ri, segs, load)]):
+            if _splice(ctx, st, [(ri, segs, load, new)]):
                 return True
         return False
-    removed = [(ri, 0, pi - 1, False), (ri, pi + 1, st.last[ri], False)]
+    new1 = fi[-1] + removal
+    old = fi[-1] + fj[-1]
     for g in edges:
+        new2 = fj[-1] + _leg(D, units[g], i) + _leg(D, unit, units[g + 1][0]) - fj[g + 1] + fj[g]
+        if (new1 + new2) * FILTER_DEN > FILTER_NUM * old:
+            continue
+        removed = [(ri, 0, pi - 1, False), (ri, pi + 1, st.last[ri], False)]
         inserted = [(rj, 0, g, False), moved, (rj, g + 1, st.last[rj], False)]
-        if _propose(ctx, st, [(ri, removed, l1), (rj, inserted, l2)]):
+        if _splice(ctx, st, [(ri, removed, l1, new1), (rj, inserted, l2, new2)]):
             return True
     return False
 
@@ -377,28 +396,50 @@ def _exchange(ctx: SolverContext, st: _LsState, i: int, j: int, len1: int) -> bo
     if s1 + len1 > e1:
         return False
     routes = st.sol.routes
+    D, u1, f1 = st.dist, st.units[r1], st.fwd[r1]
     if r1 == r2:
         a, la, b, lb = (s1, len1, s2, 1) if s1 < s2 else (s2, 1, s1, len1)
         if a + la > b:
             return False  # overlapping segments
-        segs = [(r1, 0, a - 1, False), (r1, b, b + lb - 1, False)]
-        if a + la < b:
-            segs.append((r1, a + la, b - 1, False))
-        segs += [(r1, a, a + la - 1, False), (r1, b + lb, e1, False)]
-        return _propose(ctx, st, [(r1, segs, routes[r1].load)])
+        # the runs a..ea and b..eb change places around the run between them
+        ea, eb = a + la - 1, b + lb - 1
+        mid, into_a = 0, u1[eb]
+        if ea + 1 < b:
+            mid, into_a = _leg(D, u1[eb], u1[ea + 1][0]) + f1[b - 1] - f1[ea + 1], u1[b - 1]
+        new = (
+            f1[a - 1] + _leg(D, u1[a - 1], u1[b][0]) + f1[eb] - f1[b] + mid
+            + _leg(D, into_a, u1[a][0]) + f1[ea] - f1[a]
+            + _leg(D, u1[ea], u1[eb + 1][0]) + f1[-1] - f1[eb + 1]
+        )
+        if new * FILTER_DEN > FILTER_NUM * f1[-1]:
+            return False
+        segs = [(r1, 0, a - 1, False), (r1, b, eb, False)]
+        if ea + 1 < b:
+            segs.append((r1, ea + 1, b - 1, False))
+        segs += [(r1, a, ea, False), (r1, eb + 1, e1, False)]
+        return _splice(ctx, st, [(r1, segs, routes[r1].load, new)])
     pref1 = st.pref[r1]
-    d1 = pref1[s1 + len1 - 1] - pref1[s1 - 1]
+    t1 = s1 + len1 - 1  # the last unit of i's run
+    d1 = pref1[t1] - pref1[s1 - 1]
     d2 = ctx.inst.demand[j]
     l1 = routes[r1].load - d1 + d2
     l2 = routes[r2].load - d2 + d1
     q2cap = ctx.inst.q2_capacity
     if l1 > q2cap or l2 > q2cap:
         return False
-    seg1 = (r1, s1, s1 + len1 - 1, False)
+    u2, f2 = st.units[r2], st.fwd[r2]
+    new1 = f1[-1] + _leg(D, u1[s1 - 1], j) + _leg(D, u2[s2], u1[t1 + 1][0]) - f1[t1 + 1] + f1[s1 - 1]
+    new2 = (
+        f2[-1] + _leg(D, u2[s2 - 1], i) + f1[t1] - f1[s1] + _leg(D, u1[t1], u2[s2 + 1][0])
+        - f2[s2 + 1] + f2[s2 - 1]
+    )
+    if (new1 + new2) * FILTER_DEN > FILTER_NUM * (f1[-1] + f2[-1]):
+        return False
+    seg1 = (r1, s1, t1, False)
     seg2 = (r2, s2, s2, False)
-    return _propose(ctx, st, [
-        (r1, [(r1, 0, s1 - 1, False), seg2, (r1, s1 + len1, e1, False)], l1),
-        (r2, [(r2, 0, s2 - 1, False), seg1, (r2, s2 + 1, st.last[r2], False)], l2),
+    return _splice(ctx, st, [
+        (r1, [(r1, 0, s1 - 1, False), seg2, (r1, t1 + 1, e1, False)], l1, new1),
+        (r2, [(r2, 0, s2 - 1, False), seg1, (r2, s2 + 1, st.last[r2], False)], l2, new2),
     ])
 
 

@@ -803,3 +803,165 @@ def local_search_reference(ctx, sol, rng: random.Random, deadline=None):
             if deadline is not None and time.monotonic() >= deadline:
                 return sol
     return sol
+
+
+# ---------------------------------------------------------------------------
+# Local-search handlers by segment concatenation
+# ---------------------------------------------------------------------------
+#
+# The five neighborhood handlers as they stood before each came to price its
+# candidate from the legs it changes: every candidate describes each touched
+# route as a list of segments ``(route, first unit, last unit, reversed)``,
+# ``segment_cost`` prices the concatenation in O(segments), and
+# ``propose_reference`` applies the distance filter and hands the spliced
+# routes to ``localsearch._commit`` (tests 3 and 4 of the module docstring,
+# shared with the package).  ``HANDLERS_REFERENCE`` may stand in for
+# ``localsearch._HANDLERS``: the search must then take the same path.
+
+
+def segment_cost(st, segs) -> int:
+    """Frozen-station distance of the concatenation of ``segs``."""
+    D, units, fwd, bwd = st.dist, st.units, st.fwd, st.bwd
+    total = 0
+    prev = None
+    for ri, a, b, rev in segs:
+        if rev:
+            total += bwd[ri][b] - bwd[ri][a]
+            enter, leave = units[ri][b], units[ri][a]
+        else:
+            total += fwd[ri][b] - fwd[ri][a]
+            enter, leave = units[ri][a], units[ri][b]
+        if prev is not None:
+            v, s = prev
+            w = enter[0]
+            total += D[v][w] if s is None else D[v][s] + D[s][w]
+        prev = leave
+    return total
+
+
+def propose_reference(ctx, st, cands) -> bool:
+    """Distance filter over ``(route, segments, new load)`` candidates; the
+    spliced routes of a move that passes it go on to ``_commit``."""
+    from e2evrp import localsearch as ls
+
+    old = new = 0
+    for ri, segs, _load in cands:
+        old += st.fwd[ri][-1]
+        new += segment_cost(st, segs)
+    if new * ls.FILTER_DEN > ls.FILTER_NUM * old:
+        return False
+    moves = []
+    for ri, segs, load in cands:
+        seq = []
+        for rs, a, b, rev in segs:
+            part = st.units[rs][a : b + 1]
+            seq += part[::-1] if rev else part
+        moves.append((ri, seq[1:-1], load))  # drop the two satellite units
+    return ls._commit(ctx, st, moves)
+
+
+def _two_opt_reference(ctx, st, i, j) -> bool:
+    ri, pi = st.loc[i]
+    _, pj = st.loc[j]
+    lo, hi = (pi, pj) if pi < pj else (pj, pi)
+    segs = [(ri, 0, lo - 1, False), (ri, lo, hi, True), (ri, hi + 1, st.last[ri], False)]
+    return propose_reference(ctx, st, [(ri, segs, st.sol.routes[ri].load)])
+
+
+def _two_opt_star_reference(ctx, st, i, j) -> bool:
+    ri, pi = st.loc[i]
+    rj, pj = st.loc[j]
+    routes = st.sol.routes
+    h1 = st.pref[ri][pi]
+    h2 = st.pref[rj][pj]
+    l1 = h1 + routes[rj].load - h2
+    l2 = h2 + routes[ri].load - h1
+    q2 = ctx.inst.q2_capacity
+    if l1 > q2 or l2 > q2:
+        return False
+    return propose_reference(ctx, st, [
+        (ri, [(ri, 0, pi, False), (rj, pj + 1, st.last[rj], False)], l1),
+        (rj, [(rj, 0, pj, False), (ri, pi + 1, st.last[ri], False)], l2),
+    ])
+
+
+def _relocate_reference(ctx, st, i, j) -> bool:
+    ri, pi = st.loc[i]
+    rj, pj = st.loc[j]
+    routes = st.sol.routes
+    q = ctx.inst.demand[i]
+    l1 = routes[ri].load - q
+    l2 = routes[rj].load + q
+    if ri != rj and l2 > ctx.inst.q2_capacity:
+        return False
+    moved = (ri, pi, pi, False)
+    # the shared relocate edges of the module docstring
+    done = ctx.failed_moves["relocate"][i] if ctx.failed_moves else {}
+    tag = st.tags[ri][rj]
+    units = st.units[rj]
+    edges = (pj - 1,) if done.get(units[pj - 1][0]) != tag else ()
+    if done.get(units[pj + 1][0]) != tag:
+        edges += (pj,)
+    if ri == rj:
+        load = routes[ri].load
+        end = st.last[ri]
+        for g in edges:
+            if g == pi - 1 or g == pi:
+                continue  # i already sits there
+            if g < pi:
+                segs = [(ri, 0, g, False), moved, (ri, g + 1, pi - 1, False), (ri, pi + 1, end, False)]
+            else:
+                segs = [(ri, 0, pi - 1, False), (ri, pi + 1, g, False), moved, (ri, g + 1, end, False)]
+            if propose_reference(ctx, st, [(ri, segs, load)]):
+                return True
+        return False
+    removed = [(ri, 0, pi - 1, False), (ri, pi + 1, st.last[ri], False)]
+    for g in edges:
+        inserted = [(rj, 0, g, False), moved, (rj, g + 1, st.last[rj], False)]
+        if propose_reference(ctx, st, [(ri, removed, l1), (rj, inserted, l2)]):
+            return True
+    return False
+
+
+def _exchange_reference(ctx, st, i, j, len1) -> bool:
+    """Exchange the ``len1`` customers starting at i with customer j."""
+    r1, s1 = st.loc[i]
+    r2, s2 = st.loc[j]
+    e1 = st.last[r1]
+    if s1 + len1 > e1:
+        return False
+    routes = st.sol.routes
+    if r1 == r2:
+        a, la, b, lb = (s1, len1, s2, 1) if s1 < s2 else (s2, 1, s1, len1)
+        if a + la > b:
+            return False  # overlapping segments
+        segs = [(r1, 0, a - 1, False), (r1, b, b + lb - 1, False)]
+        if a + la < b:
+            segs.append((r1, a + la, b - 1, False))
+        segs += [(r1, a, a + la - 1, False), (r1, b + lb, e1, False)]
+        return propose_reference(ctx, st, [(r1, segs, routes[r1].load)])
+    pref1 = st.pref[r1]
+    d1 = pref1[s1 + len1 - 1] - pref1[s1 - 1]
+    d2 = ctx.inst.demand[j]
+    l1 = routes[r1].load - d1 + d2
+    l2 = routes[r2].load - d2 + d1
+    q2cap = ctx.inst.q2_capacity
+    if l1 > q2cap or l2 > q2cap:
+        return False
+    seg1 = (r1, s1, s1 + len1 - 1, False)
+    seg2 = (r2, s2, s2, False)
+    return propose_reference(ctx, st, [
+        (r1, [(r1, 0, s1 - 1, False), seg2, (r1, s1 + len1, e1, False)], l1),
+        (r2, [(r2, 0, s2 - 1, False), seg1, (r2, s2 + 1, st.last[r2], False)], l2),
+    ])
+
+
+HANDLERS_REFERENCE = {
+    "two_opt": _two_opt_reference,
+    "two_opt_star": _two_opt_star_reference,
+    "relocate": _relocate_reference,
+    "swap": lambda ctx, st, i, j: _exchange_reference(ctx, st, i, j, 1),
+    "swap21": lambda ctx, st, i, j: (
+        _exchange_reference(ctx, st, i, j, 2) or _exchange_reference(ctx, st, j, i, 2)
+    ),
+}

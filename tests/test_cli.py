@@ -525,6 +525,30 @@ def test_solve_bad_param_is_a_clean_error(tmp_path, monkeypatch, kv, expected, a
 
 
 @pytest.mark.parametrize("as_json", [False, True])
+def test_solve_repeated_param_is_a_clean_error(tmp_path, monkeypatch, as_json):
+    monkeypatch.setattr(cli, "lns_run", _sweep_must_not_start)
+    res = CliRunner().invoke(
+        main,
+        ["solve", _write_tiny(tmp_path), "--param", "i_max=1", "--param", "granularity=5",
+         "--param", "i_max=2", *(["--json"] * as_json)],
+    )
+    assert "--param i_max given more than once" in _one_line_error(res, as_json)
+
+
+def test_solve_csv_out_writes_the_header_into_an_empty_file(tmp_path):
+    inst = _write_tiny(tmp_path)
+    csv_out = tmp_path / "agg.csv"
+    csv_out.touch()
+    args = ["solve", inst, "--restarts", "1", "--param", "i_max=1", "--csv-out", str(csv_out)]
+    for _ in range(2):
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 0, res.output
+    lines = csv_out.read_text().splitlines()
+    assert lines[0] == "instance,avg,best,t_star_avg,runs"
+    assert len(lines) == 3 and lines[1] == lines[2] and lines[1].startswith("tiny,")
+
+
+@pytest.mark.parametrize("as_json", [False, True])
 def test_solve_malformed_instance_is_a_clean_error(tmp_path, monkeypatch, as_json):
     monkeypatch.setattr(cli, "lns_run", _sweep_must_not_start)
     path = tmp_path / "bad.txt"

@@ -10,7 +10,13 @@ from e2evrp.localsearch import local_search
 from e2evrp.model import check_feasibility, unservable_customers, write_solution
 from e2evrp.search import SolverContext, WorkingRoute, WorkingSolution, build_first_level
 
-from oracles import local_search_reference, make_instance, random_instance
+from oracles import (
+    HANDLERS_REFERENCE,
+    local_search_reference,
+    make_instance,
+    random_instance,
+    segment_cost,
+)
 
 
 def _ctx(inst, gamma=25):
@@ -173,20 +179,22 @@ def _frozen_distance(inst, satellite, anchor, pairs):
 
 
 def test_segment_evaluator_matches_spliced_routes(monkeypatch):
-    """For every candidate of every neighborhood, the distance the filter
-    computes from segments equals the from-scratch distance of the route it
-    splices.  The filter is opened and ``_commit`` stubbed to record and
-    reject, so one pass sees every granular pair in all five neighborhoods."""
+    """For every candidate of every neighborhood, the distance its handler
+    prices from the changed legs equals the price of its segment lists by
+    concatenation and the from-scratch distance of the route it splices.  The
+    filter is opened and ``_commit`` stubbed to record and reject, so one pass
+    sees every granular pair in all five neighborhoods."""
     monkeypatch.setattr(ls, "FILTER_NUM", 10**9)
     costs, current = [], [None]
     seen = dict.fromkeys(ls._NEIGHBORHOODS, 0)
     covered = {"anchored": 0, "emptied": 0, "reversed_stops": 0}
-    real_cost = ls._cost
+    real_splice = ls._splice
 
-    def cost(st, segs):
-        value = real_cost(st, segs)
-        costs.append(value)
-        return value
+    def splice(ctx, st, cands):
+        for _ri, segs, _load, value in cands:
+            assert value == segment_cost(st, segs)
+            costs.append(value)
+        return real_splice(ctx, st, cands)
 
     def commit(ctx, st, moves):
         inst = ctx.inst
@@ -210,7 +218,7 @@ def test_segment_evaluator_matches_spliced_routes(monkeypatch):
                 covered["reversed_stops"] += 1
         return False
 
-    monkeypatch.setattr(ls, "_cost", cost)
+    monkeypatch.setattr(ls, "_splice", splice)
     monkeypatch.setattr(ls, "_commit", commit)
     for nb, handler in list(ls._HANDLERS.items()):
         def labelled(ctx, st, i, j, nb=nb, handler=handler):
@@ -239,6 +247,73 @@ def test_segment_evaluator_matches_spliced_routes(monkeypatch):
         assert sol.objective(inst) == before  # every move was rejected
     assert all(seen.values()), seen
     assert all(covered.values()), covered
+
+
+def test_handlers_match_reference_handlers(monkeypatch):
+    """The handlers, which price each candidate from the legs it changes,
+    take the search down the same path as the reference handlers, which
+    price segment lists by concatenation: ``lns_run`` ends in the same
+    solution and counters, and ``_commit`` sees the same moves in the same
+    order, on draws with anchored stops, emptied routes, reversed runs with
+    stops, capped satellites and no battery."""
+    real_commit = ls._commit
+    current = [None]
+    commits: list = []
+    covered = {"anchored": 0, "emptied": 0, "reversed_stops": 0, "capped": 0, "no_battery": 0}
+
+    def commit(ctx, st, moves):
+        anchored = any(st.units[ri][0][1] is not None for ri, _, _ in moves)
+        applied = real_commit(ctx, st, moves)
+        moves = [(ri, tuple(pairs), load) for ri, pairs, load in moves]
+        commits.append((current[0], moves, anchored, applied))
+        return applied
+
+    def labelled(handlers):
+        def wrap(nb, handler):
+            def run(ctx, st, i, j):
+                current[0] = nb
+                return handler(ctx, st, i, j)
+            return run
+        return {nb: wrap(nb, handler) for nb, handler in handlers.items()}
+
+    monkeypatch.setattr(ls, "_commit", commit)
+    sides = {"package": labelled(ls._HANDLERS), "reference": labelled(HANDLERS_REFERENCE)}
+    rng = random.Random(8128)
+    draws = applied = 0
+    while draws < 24:
+        n_s = rng.randint(1, 3)
+        battery = None if draws % 4 == 0 else rng.choice([200, 250, 400])
+        inst = random_instance(
+            rng, n_c=rng.randint(8, 22), n_s=n_s, n_r=3, span=200,
+            battery=battery, q2=60, m2_local=8, m2=24, q1=100, f1=30,
+        )
+        if unservable_customers(inst):
+            continue
+        draws += 1
+        if n_s > 1:
+            cap = ceil(inst.total_demand * 1.1 / n_s)
+            inst = replace(
+                inst, satellites=tuple(replace(s, capacity=cap) for s in inst.satellites)
+            )
+            covered["capped"] += 1
+        covered["no_battery"] += inst.battery_capacity is None
+        params = LnsParams(t_max=None, max_restarts=2, i_max=10, seed=draws)
+        runs = []
+        for handlers in sides.values():
+            monkeypatch.setattr(ls, "_HANDLERS", handlers)
+            commits.clear()
+            sol, stats = lns_run(inst, params)
+            runs.append((write_solution(sol), stats.deterministic_fields(), commits[:]))
+        assert runs[0] == runs[1], draws
+        for nb, moves, anchored, _applied in runs[0][2]:
+            covered["anchored"] += anchored
+            covered["emptied"] += any(not pairs for _, pairs, _ in moves)
+            covered["reversed_stops"] += nb == "two_opt" and any(
+                s is not None for _, pairs, _ in moves for _, s in pairs
+            )
+        applied += sum(a for *_, a in runs[0][2])
+    assert min(covered.values()) >= 5, covered
+    assert applied >= 100, applied
 
 
 def _same_runs(monkeypatch, inst, params, memoized=local_search):
@@ -422,33 +497,40 @@ def test_memo_hazards(monkeypatch):
 
 def test_no_candidate_is_proposed_twice_between_refreshes(monkeypatch):
     """Between two refreshes of the scan state (an applied move or a new
-    call) no 2-opt*, swap2-1 or inter-route relocate candidate reaches the
-    filter twice, keyed by its segment lists: the mirrored memo entries and
-    the shared relocate edges leave out every repeat.  Intra-route relocates
-    are left out of the check, because an adjacent relocate can be proposed
-    again as a swap."""
+    call) no 2-opt*, swap2-1 or inter-route relocate candidate is priced
+    twice, keyed by its segment lists: the mirrored memo entries and the
+    shared relocate edges leave out every repeat.  Intra-route relocates are
+    left out of the check, because an adjacent relocate can be proposed again
+    as a swap.  The filter is opened so that every priced candidate reaches
+    ``_splice``, which applies it again from the distances the handler hands
+    over: the search takes its usual path."""
     version = [0]
     current = [None]
     proposed: dict = {}
     checked = dict.fromkeys(("two_opt_star", "swap21", "relocate"), 0)
     real_refresh = ls._LsState.refresh
-    real_propose = ls._propose
+    real_splice = ls._splice
+    num, den = ls.FILTER_NUM, ls.FILTER_DEN
 
     def refresh(self, ctx):
         version[0] += 1
         real_refresh(self, ctx)
 
-    def propose(ctx, st, cands):
+    def splice(ctx, st, cands):
         nb = current[0]
         if nb in checked and not (nb == "relocate" and len(cands) == 1):
-            key = tuple(sorted((ri, tuple(segs)) for ri, segs, _load in cands))
+            key = tuple(sorted((ri, tuple(segs)) for ri, segs, _load, _dist in cands))
             assert proposed.get(key) != version[0], (nb, key)
             proposed[key] = version[0]
             checked[nb] += 1
-        return real_propose(ctx, st, cands)
+        old = sum(st.fwd[ri][-1] for ri, _segs, _load, _dist in cands)
+        if sum(dist for *_, dist in cands) * den > num * old:
+            return False
+        return real_splice(ctx, st, cands)
 
+    monkeypatch.setattr(ls, "FILTER_NUM", 10**9)
     monkeypatch.setattr(ls._LsState, "refresh", refresh)
-    monkeypatch.setattr(ls, "_propose", propose)
+    monkeypatch.setattr(ls, "_splice", splice)
     for nb, handler in list(ls._HANDLERS.items()):
         def labelled(ctx, st, i, j, nb=nb, handler=handler):
             current[0] = nb
